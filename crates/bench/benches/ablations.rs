@@ -1,10 +1,10 @@
-//! Criterion benches for the ablation arms (DESIGN.md A–D) at smoke
-//! scale: one replication per iteration, so `cargo bench` exercises every
-//! experiment code path and tracks simulator throughput per configuration.
+//! Criterion benches for the routing-policy ablation arms (root and
+//! selection policy) at smoke scale: one replication per iteration, so
+//! `cargo bench` tracks simulator throughput per configuration. Ablations
+//! B and D are sweep files; their request shapes are timed end to end by
+//! perfbench's `sweep` workload.
 
-use baselines::{UnicastMulticast, UpDownUnicastRouting};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use desim::{Duration, Time};
 use netgraph::NodeId;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -32,25 +32,6 @@ fn multicast_once(
     let out = sim.run();
     assert!(out.all_delivered());
     out.messages[0].latency().unwrap().as_us_f64()
-}
-
-fn bench_buffer_depth(c: &mut Criterion) {
-    let topo = paper_network(64, 3);
-    let ud = paper_labeling(&topo);
-    let spam = SpamRouting::new(&topo, &ud);
-    let mut g = c.benchmark_group("ablation_buffer_depth_multicast");
-    g.sample_size(10);
-    for depth in [1usize, 4, 8] {
-        g.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, &d| {
-            let cfg = SimConfig::paper().with_buffers(d, d);
-            let mut seed = 0;
-            b.iter(|| {
-                seed += 1;
-                black_box(multicast_once(&topo, &spam, cfg, seed))
-            });
-        });
-    }
-    g.finish();
 }
 
 fn bench_selection_policies(c: &mut Criterion) {
@@ -98,47 +79,5 @@ fn bench_root_policies(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_spam_vs_software(c: &mut Criterion) {
-    let topo = paper_network(64, 3);
-    let ud = paper_labeling(&topo);
-    let mut g = c.benchmark_group("ablation_baseline_32dests");
-    g.sample_size(10);
-    let spam = SpamRouting::new(&topo, &ud);
-    g.bench_function("spam_one_worm", |b| {
-        let mut seed = 0;
-        b.iter(|| {
-            seed += 1;
-            black_box(multicast_once(&topo, &spam, SimConfig::paper(), seed))
-        });
-    });
-    let router = UpDownUnicastRouting::new(&topo, &ud);
-    g.bench_function("software_binomial", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let procs: Vec<NodeId> = topo.processors().collect();
-            let mut dests = procs.clone();
-            dests.shuffle(&mut rng);
-            let src = dests.pop().unwrap();
-            dests.truncate(32);
-            let mut um = UnicastMulticast::new(src, &dests, 128, Duration::from_us(10));
-            let mut sim = NetworkSim::new(&topo, router.clone(), SimConfig::paper());
-            for s in um.initial_sends(Time::ZERO) {
-                sim.submit(s).unwrap();
-            }
-            let out = sim.run_with_hook(&mut um);
-            black_box(um.makespan(&out).unwrap().as_us_f64())
-        });
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_buffer_depth,
-    bench_selection_policies,
-    bench_root_policies,
-    bench_spam_vs_software
-);
+criterion_group!(benches, bench_selection_policies, bench_root_policies);
 criterion_main!(benches);

@@ -1,27 +1,26 @@
 //! Ablation studies from DESIGN.md (all grounded in §5's future-work
-//! discussion).
+//! discussion) that need more than the scenario model's axes:
 //!
 //! * **A — root selection**: the spanning-tree root shapes every route;
 //!   §5 notes that "judicious selection of spanning trees ... may have
 //!   significant effects on performance".
-//! * **B — input-buffer depth**: §5: "by using larger input buffers ...
-//!   message latency could potentially be further reduced"; the headline
-//!   theorem only needs depth 1.
 //! * **C — destination partitioning**: §5's proposed mitigation of the
 //!   root hot-spot: split one worm into several tree-contiguous worms.
-//! * **D — SPAM vs software multicast** across destination counts: the
-//!   end-to-end framing of the paper's motivation (Figure 2 + the §4
-//!   in-text claim combined).
+//!
+//! Ablations B (input-buffer depth) and D (SPAM vs software multicast)
+//! are plain scenario grids: `sweeps/ablation_buffers.sweep.json` and
+//! `sweeps/ablation_baseline.sweep.json`, run by the `sweep` binary.
 
+use crate::sweep::replicate_parallel_with;
 use crate::{paper_network, PointSummary};
-use baselines::{UnicastMulticast, UpDownUnicastRouting};
-use desim::{Duration, Time};
+use desim::Time;
 use netgraph::NodeId;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use simstats::{ConfidenceLevel, PrecisionController};
 use spam_core::{partition_specs, PartitionStrategy, SpamRouting};
-use traffic::{DestinationSampler, MixedTrafficConfig};
+use spam_scenario::split_seed;
+use traffic::DestinationSampler;
 use updown::{RootSelection, UpDownLabeling};
 use wormsim::{MessageSpec, NetworkSim, SimConfig};
 
@@ -60,25 +59,33 @@ impl AblationConfig {
     }
 }
 
-fn point(ctl: &PrecisionController, x: f64) -> PointSummary {
-    let ci = ctl.interval().expect("at least 3 reps");
-    PointSummary {
-        x,
-        mean: ci.mean,
-        ci_half_width: ci.half_width,
-        reps: ctl.count(),
-        target_met: ctl.met_target(),
-    }
+/// Replicates `rep` (a pure function of its seed) on the seeds of
+/// `stream` until `cfg`'s precision target is met.
+fn controlled(
+    cfg: &AblationConfig,
+    stream: u64,
+    x: f64,
+    rep: impl Fn(u64) -> f64 + Sync,
+) -> PointSummary {
+    let mut ctl = PrecisionController::new(cfg.target_rel, ConfidenceLevel::P95, 3, cfg.max_reps);
+    replicate_parallel_with(
+        |i| rep(split_seed(stream, i)),
+        |v| {
+            ctl.push(v);
+            ctl.satisfied()
+        },
+    );
+    PointSummary::of(x, &ctl)
 }
 
 // ---------------------------------------------------------------- A: root
 
 /// Mean single-multicast latency under one root policy.
 fn root_policy_rep(switches: usize, root: RootSelection, dests: usize, seed: u64) -> f64 {
-    let topo = paper_network(switches, crate::split_seed(seed, 0xA));
+    let topo = paper_network(switches, split_seed(seed, 0xA));
     let ud = UpDownLabeling::build(&topo, root);
     let spam = SpamRouting::new(&topo, &ud);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(crate::split_seed(seed, 0xB));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(split_seed(seed, 0xB));
     let procs: Vec<NodeId> = topo.processors().collect();
     let src = procs[rng.gen_range(0..procs.len())];
     let mut others: Vec<NodeId> = procs.iter().copied().filter(|&p| p != src).collect();
@@ -105,54 +112,10 @@ pub fn run_root_selection(cfg: &AblationConfig, dests: usize) -> Vec<(String, Po
         .iter()
         .enumerate()
         .map(|(i, (name, root))| {
-            let mut ctl =
-                PrecisionController::new(cfg.target_rel, ConfidenceLevel::P95, 3, cfg.max_reps);
-            crate::sweep::replicate_parallel(
-                &mut ctl,
-                crate::split_seed(cfg.seed, i as u64),
-                |s| root_policy_rep(cfg.switches, *root, dests, s),
-            );
-            (name.to_string(), point(&ctl, i as f64))
-        })
-        .collect()
-}
-
-// ------------------------------------------------------------- B: buffers
-
-/// Ablation B: mixed-traffic latency versus buffer depth (§5).
-pub fn run_buffer_depth(
-    cfg: &AblationConfig,
-    depths: &[usize],
-    rate: f64,
-    messages: usize,
-) -> Vec<PointSummary> {
-    depths
-        .iter()
-        .map(|&depth| {
-            let mut ctl =
-                PrecisionController::new(cfg.target_rel, ConfidenceLevel::P95, 3, cfg.max_reps);
-            crate::sweep::replicate_parallel(
-                &mut ctl,
-                crate::split_seed(cfg.seed, depth as u64),
-                |s| {
-                    let topo = paper_network(cfg.switches, crate::split_seed(s, 0xA));
-                    let ud = crate::paper_labeling(&topo);
-                    let spam = SpamRouting::new(&topo, &ud);
-                    let stream = MixedTrafficConfig::figure3(rate, 8, messages)
-                        .generate(&topo, crate::split_seed(s, 0xB))
-                        .expect("valid mixed-traffic config");
-                    let mut sim =
-                        NetworkSim::new(&topo, spam, SimConfig::paper().with_buffers(depth, depth));
-                    for spec in stream {
-                        sim.submit(spec).unwrap();
-                    }
-                    let out = sim.run();
-                    assert!(out.all_delivered());
-                    let warmup = (messages / 10) as u64;
-                    out.mean_latency_us(|m| m.spec.tag >= warmup).unwrap()
-                },
-            );
-            point(&ctl, depth as f64)
+            let p = controlled(cfg, split_seed(cfg.seed, i as u64), i as f64, |s| {
+                root_policy_rep(cfg.switches, *root, dests, s)
+            });
+            (name.to_string(), p)
         })
         .collect()
 }
@@ -196,10 +159,10 @@ fn partition_rep(
     background: usize,
     seed: u64,
 ) -> f64 {
-    let topo = paper_network(switches, crate::split_seed(seed, 0xA));
+    let topo = paper_network(switches, split_seed(seed, 0xA));
     let ud = crate::paper_labeling(&topo);
     let spam = SpamRouting::new(&topo, &ud);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(crate::split_seed(seed, 0xB));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(split_seed(seed, 0xB));
     let procs: Vec<NodeId> = topo.processors().collect();
     let src = procs[rng.gen_range(0..procs.len())];
     let dset = DestinationSampler::UniformRandom { count: dests }
@@ -255,71 +218,12 @@ pub fn run_partition(
     arms.iter()
         .enumerate()
         .map(|(i, arm)| {
-            let mut ctl =
-                PrecisionController::new(cfg.target_rel, ConfidenceLevel::P95, 3, cfg.max_reps);
-            crate::sweep::replicate_parallel(
-                &mut ctl,
-                crate::split_seed(cfg.seed, 0xC0 + i as u64),
-                |s| partition_rep(cfg.switches, dests, *arm, background, s),
-            );
-            (arm.label(), point(&ctl, i as f64))
+            let p = controlled(cfg, split_seed(cfg.seed, 0xC0 + i as u64), i as f64, |s| {
+                partition_rep(cfg.switches, dests, *arm, background, s)
+            });
+            (arm.label(), p)
         })
         .collect()
-}
-
-// ------------------------------------------------------------ D: baseline
-
-/// Ablation D: SPAM vs simulated software multicast latency across
-/// destination counts. Returns `(dests, spam, software)` summaries.
-pub fn run_baseline_comparison(
-    cfg: &AblationConfig,
-    dest_counts: &[usize],
-) -> Vec<(usize, PointSummary, PointSummary)> {
-    dest_counts
-        .iter()
-        .map(|&k| {
-            let mut spam_ctl =
-                PrecisionController::new(cfg.target_rel, ConfidenceLevel::P95, 3, cfg.max_reps);
-            crate::sweep::replicate_parallel(
-                &mut spam_ctl,
-                crate::split_seed(cfg.seed, k as u64),
-                |s| crate::fig2::single_multicast_latency_us(cfg.switches, k, 128, s),
-            );
-            let mut soft_ctl = PrecisionController::new(
-                cfg.target_rel.max(0.03),
-                ConfidenceLevel::P95,
-                3,
-                cfg.max_reps.min(50),
-            );
-            crate::sweep::replicate_parallel(
-                &mut soft_ctl,
-                crate::split_seed(cfg.seed, 0xD000 + k as u64),
-                |s| software_multicast_us(cfg.switches, k, s),
-            );
-            (k, point(&spam_ctl, k as f64), point(&soft_ctl, k as f64))
-        })
-        .collect()
-}
-
-/// Simulated binomial unicast-based multicast to `k` random destinations.
-fn software_multicast_us(switches: usize, k: usize, seed: u64) -> f64 {
-    let topo = paper_network(switches, crate::split_seed(seed, 0xA));
-    let ud = crate::paper_labeling(&topo);
-    let router = UpDownUnicastRouting::new(&topo, &ud);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(crate::split_seed(seed, 0xB));
-    let procs: Vec<NodeId> = topo.processors().collect();
-    let src = procs[rng.gen_range(0..procs.len())];
-    let dests = DestinationSampler::UniformRandom { count: k }
-        .sample(&topo, src, &mut rng)
-        .expect("enough processors");
-    let mut um = UnicastMulticast::new(src, &dests, 128, Duration::from_us(10));
-    let mut sim = NetworkSim::new(&topo, router, SimConfig::paper());
-    for s in um.initial_sends(Time::ZERO) {
-        sim.submit(s).unwrap();
-    }
-    let out = sim.run_with_hook(&mut um);
-    assert!(out.all_delivered());
-    um.makespan(&out).unwrap().as_us_f64()
 }
 
 #[cfg(test)]
@@ -339,24 +243,6 @@ mod tests {
         for (name, p) in &rows {
             assert!(p.mean > 10.0, "{name} mean {}", p.mean);
         }
-    }
-
-    #[test]
-    fn buffer_depth_never_hurts() {
-        let cfg = AblationConfig {
-            switches: 24,
-            target_rel: 0.10,
-            max_reps: 6,
-            seed: 4,
-        };
-        let pts = run_buffer_depth(&cfg, &[1, 4], 0.02, 200);
-        assert_eq!(pts.len(), 2);
-        assert!(
-            pts[1].mean <= pts[0].mean * 1.02,
-            "deeper buffers regressed latency: {} -> {}",
-            pts[0].mean,
-            pts[1].mean
-        );
     }
 
     #[test]
@@ -381,23 +267,5 @@ mod tests {
         for (label, p) in &rows {
             assert!(p.mean > 10.0, "{label}: {}", p.mean);
         }
-    }
-
-    #[test]
-    fn spam_beats_software_multicast() {
-        let cfg = AblationConfig {
-            switches: 24,
-            target_rel: 0.10,
-            max_reps: 8,
-            seed: 6,
-        };
-        let rows = run_baseline_comparison(&cfg, &[8]);
-        let (_, spam, soft) = &rows[0];
-        assert!(
-            soft.mean > spam.mean * 2.0,
-            "software {} not clearly slower than SPAM {}",
-            soft.mean,
-            spam.mean
-        );
     }
 }

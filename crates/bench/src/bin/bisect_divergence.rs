@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! cargo run -p spam-bench --bin bisect_divergence --release -- \
-//!     scenarios/fig2_multicast.scenario.json \
+//!     scenarios/fig2_single_multicast.scenario.json \
 //!     [--rep N] [--every-ns N] [--candidate-queue bucket|heap] \
 //!     [--candidate-seed N] [--out report.json]
 //! ```

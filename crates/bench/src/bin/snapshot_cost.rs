@@ -21,7 +21,7 @@ fn main() {
 
     println!(
         "  {:>8} {:>12} {:>12} {:>16} {:>12}",
-        "switches", "checkpoints", "mean KiB", "write µs/ckpt", "restore µs"
+        "switches", "checkpoints", "mean KiB", "write µs", "restore µs"
     );
     let mut costs = Vec::with_capacity(sizes.len());
     for &n in sizes {

@@ -1,329 +1,66 @@
-//! The fault sweep — SPAM beyond the paper's pristine networks.
-//!
-//! Sweeps link-fault rate × multicast size on the §4 irregular networks:
-//! each replication draws a fresh 64-switch lattice network, kills links
-//! i.i.d. at the given rate, reconfigures the largest surviving component
-//! (up*/down* relabeling with root re-selection, crate `spam-faults`),
-//! and then measures one multicast to destinations drawn from the
-//! survivors — SPAM's single multi-head worm versus binomial software
-//! multicast over classic up*/down* unicasts, both routed on the *same*
-//! degraded instance. Replication control follows the paper's §4 protocol
-//! (95 % CI within the target fraction of the mean).
-//!
-//! The headline question: does SPAM's startup advantage survive when the
-//! network degrades and routes lengthen? (It does — the gap *widens*,
-//! because software multicast pays per-phase startups on ever-longer
-//! paths, while SPAM still pays one.)
+//! Fault-sweep checks on `sweeps/fault_sweep.sweep.json` at miniature
+//! scale: SPAM against software multicast on statically degraded fabrics.
 
-use crate::{paper_network, PointSummary};
-use baselines::{UnicastMulticast, UpDownUnicastRouting};
-use netgraph::NodeId;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use simstats::PrecisionController;
-use spam_core::SpamRouting;
-use spam_faults::{DegradedNetwork, FaultModel};
-use wormsim::{MessageSpec, NetworkSim, SimConfig};
-
-/// Configuration of a fault sweep.
-#[derive(Debug, Clone)]
-pub struct FaultSweepConfig {
-    /// Switches (= processors) in the pristine network.
-    pub switches: usize,
-    /// Link-fault rates to sweep (probability each link is dead).
-    pub rates: Vec<f64>,
-    /// Multicast destination counts to sweep (clamped per replication to
-    /// the survivors available).
-    pub dest_counts: Vec<usize>,
-    /// Flits per message.
-    pub len: u32,
-    /// Relative CI target (the paper uses 0.01).
-    pub target_rel: f64,
-    /// Replication budget per point and arm.
-    pub max_reps: u64,
-    /// RNG stream.
-    pub seed: u64,
-}
-
-impl FaultSweepConfig {
-    /// The default sweep: 64-switch networks, fault rates 0–25 %,
-    /// multicast sizes 8 and 32, 128-flit messages, 1 % CI.
-    pub fn paper(switches: usize) -> Self {
-        FaultSweepConfig {
-            switches,
-            rates: vec![0.0, 0.05, 0.10, 0.15, 0.20, 0.25],
-            dest_counts: vec![8, 32],
-            len: 128,
-            target_rel: 0.01,
-            max_reps: 600,
-            seed: 0xFA_017,
-        }
-    }
-
-    /// A fast, loose-CI variant for smoke tests and CI.
-    pub fn quick(switches: usize) -> Self {
-        FaultSweepConfig {
-            rates: vec![0.0, 0.10, 0.20],
-            target_rel: 0.05,
-            max_reps: 24,
-            ..Self::paper(switches)
-        }
-    }
-}
-
-/// One finished sweep cell: both arms at a (rate, dest-count) point.
-#[derive(Debug, Clone)]
-pub struct FaultPoint {
-    /// Link-fault rate.
-    pub rate: f64,
-    /// Requested destination count.
-    pub dests: usize,
-    /// SPAM single-worm multicast latency (µs); `x` is the rate.
-    pub spam: PointSummary,
-    /// Binomial software multicast over up*/down* unicasts (µs).
-    pub software: PointSummary,
-    /// Mean fraction of nodes surviving into the largest component.
-    pub component_fraction: f64,
-}
-
-/// One degraded instance: the reconfigured network plus a source and a
-/// destination set drawn from its largest component. Deterministic in
-/// `(switches, rate, dests, seed)` so the SPAM and software arms of the
-/// comparison see identical damage and identical destination sets.
-fn degraded_instance(
-    switches: usize,
-    rate: f64,
-    dests: usize,
-    seed: u64,
-) -> (DegradedNetwork, NodeId, Vec<NodeId>) {
-    // A salt loop guards the (vanishing at these rates) case where the
-    // largest component is too small to host a multicast.
-    for salt in 0..32u64 {
-        let s = crate::split_seed(seed, 0xFA + salt);
-        let base = paper_network(switches, crate::split_seed(s, 0xA));
-        let plan = FaultModel::IidLinks { rate }.sample(&base, None, crate::split_seed(s, 0xB));
-        let net = DegradedNetwork::build(&base, &plan, None);
-        let procs = match net.largest() {
-            Some(c) => c.processors(&net.topo),
-            None => continue,
-        };
-        if procs.len() < 2 {
-            continue;
-        }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(crate::split_seed(s, 0xC));
-        let src = procs[rng.gen_range(0..procs.len())];
-        let mut others: Vec<NodeId> = procs.into_iter().filter(|&p| p != src).collect();
-        others.shuffle(&mut rng);
-        others.truncate(dests);
-        return (net, src, others);
-    }
-    panic!("no routable component after 32 attempts (rate {rate}, seed {seed})");
-}
-
-/// One paired replication: both arms measured on **one** degraded
-/// instance (the topology, fault plan, relabeling, and destination draw
-/// are built once and shared). Returns `(spam µs, software µs)`. Panics
-/// if either scheme fails to deliver to every reachable destination —
-/// the reconfiguration guarantee this sweep certifies.
-pub fn paired_replication(
-    switches: usize,
-    rate: f64,
-    dests: usize,
-    len: u32,
-    seed: u64,
-) -> (f64, f64) {
-    let (net, src, targets) = degraded_instance(switches, rate, dests, seed);
-    let comp = net.largest().expect("instance has a component");
-    let cfg = SimConfig::paper();
-
-    // Arm 1: SPAM, one multi-head worm.
-    let spam = SpamRouting::new(&net.topo, &comp.labeling);
-    let mut sim = NetworkSim::new(&net.topo, spam, cfg);
-    sim.submit(MessageSpec::multicast(src, targets.clone(), len))
-        .unwrap();
-    let out = sim.run();
-    assert!(
-        out.all_delivered(),
-        "SPAM failed on degraded network (rate {rate}, seed {seed}): error {:?}, deadlock {:?}",
-        out.error,
-        out.deadlock
-    );
-    let spam_us = out.messages[0].latency().expect("delivered").as_us_f64();
-
-    // Arm 2: binomial software multicast over up*/down* unicasts.
-    let router = UpDownUnicastRouting::new(&net.topo, &comp.labeling);
-    let mut um = UnicastMulticast::new(src, &targets, len, cfg.latency.startup);
-    let mut sim = NetworkSim::new(&net.topo, router, cfg);
-    for spec in um.initial_sends(desim::Time::ZERO) {
-        sim.submit(spec).unwrap();
-    }
-    let out = sim.run_with_hook(&mut um);
-    assert!(
-        out.all_delivered(),
-        "up*/down* software multicast failed (rate {rate}, seed {seed}): error {:?}, deadlock {:?}",
-        out.error,
-        out.deadlock
-    );
-    (spam_us, um.makespan(&out).expect("complete").as_us_f64())
-}
-
-/// SPAM arm of [`paired_replication`] alone (tests, spot checks).
-pub fn spam_replication(switches: usize, rate: f64, dests: usize, len: u32, seed: u64) -> f64 {
-    paired_replication(switches, rate, dests, len, seed).0
-}
-
-/// Software arm of [`paired_replication`] alone (tests, spot checks).
-pub fn software_replication(switches: usize, rate: f64, dests: usize, len: u32, seed: u64) -> f64 {
-    paired_replication(switches, rate, dests, len, seed).1
-}
-
-/// Parallel paired-replication control: like
-/// [`crate::sweep::replicate_parallel`], but each seed produces one
-/// `(spam, software)` pair pushed into two controllers, and the loop runs
-/// until **both** are satisfied. Seeds are consumed in order (via
-/// [`crate::sweep::replicate_parallel_with`]), so results are independent
-/// of thread scheduling.
-fn replicate_paired<F>(
-    spam_ctl: &mut PrecisionController,
-    soft_ctl: &mut PrecisionController,
-    base_seed: u64,
-    rep: F,
-) where
-    F: Fn(u64) -> (f64, f64) + Sync,
-{
-    if spam_ctl.satisfied() && soft_ctl.satisfied() {
-        return;
-    }
-    crate::sweep::replicate_parallel_with(base_seed, rep, |(a, b)| {
-        spam_ctl.push(a);
-        soft_ctl.push(b);
-        spam_ctl.satisfied() && soft_ctl.satisfied()
-    });
-}
-
-/// Mean largest-component node fraction at a fault rate (fixed sample
-/// count; descriptive, not CI-controlled).
-fn mean_component_fraction(switches: usize, rate: f64, seed: u64, samples: u64) -> f64 {
-    let mut acc = 0.0;
-    for i in 0..samples {
-        let s = crate::split_seed(seed, 0x1_000 + i);
-        let base = paper_network(switches, crate::split_seed(s, 0xA));
-        let plan = FaultModel::IidLinks { rate }.sample(&base, None, crate::split_seed(s, 0xB));
-        acc += DegradedNetwork::build(&base, &plan, None).largest_component_fraction(&base);
-    }
-    acc / samples as f64
-}
-
-/// Runs the full sweep; one [`FaultPoint`] per (rate, dest-count) cell.
-pub fn run(cfg: &FaultSweepConfig) -> Vec<FaultPoint> {
-    let mut out = Vec::new();
-    for &k in &cfg.dest_counts {
-        for &rate in &cfg.rates {
-            let stream = crate::split_seed(cfg.seed, (k as u64) << 32 | (rate * 1e4) as u64);
-            let controller = || {
-                PrecisionController::new(
-                    cfg.target_rel,
-                    simstats::ConfidenceLevel::P95,
-                    3,
-                    cfg.max_reps,
-                )
-            };
-            let (mut spam_ctl, mut soft_ctl) = (controller(), controller());
-            replicate_paired(&mut spam_ctl, &mut soft_ctl, stream, |s: u64| {
-                paired_replication(cfg.switches, rate, k, cfg.len, s)
-            });
-            let summarize = |ctl: &PrecisionController| {
-                let ci = ctl.interval().expect("at least 3 reps");
-                PointSummary {
-                    x: rate,
-                    mean: ci.mean,
-                    ci_half_width: ci.half_width,
-                    reps: ctl.count(),
-                    target_met: ctl.met_target(),
-                }
-            };
-            let spam = summarize(&spam_ctl);
-            let software = summarize(&soft_ctl);
-            out.push(FaultPoint {
-                rate,
-                dests: k,
-                spam,
-                software,
-                component_fraction: mean_component_fraction(cfg.switches, rate, stream, 32),
-            });
-        }
-    }
-    out
-}
-
-/// Writes the sweep's CSV (`results/fault_sweep.csv` shape).
-pub fn write_csv(path: &std::path::Path, points: &[FaultPoint]) -> std::io::Result<()> {
-    use std::io::Write as _;
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(
-        f,
-        "fault_rate,dests,spam_latency_us,spam_ci_us,spam_reps,spam_met,\
-         software_latency_us,software_ci_us,software_reps,software_met,\
-         speedup,largest_component_frac"
-    )?;
-    for p in points {
-        writeln!(
-            f,
-            "{},{},{:.4},{:.4},{},{},{:.4},{:.4},{},{},{:.3},{:.4}",
-            p.rate,
-            p.dests,
-            p.spam.mean,
-            p.spam.ci_half_width,
-            p.spam.reps,
-            p.spam.target_met,
-            p.software.mean,
-            p.software.ci_half_width,
-            p.software.reps,
-            p.software.target_met,
-            p.software.mean / p.spam.mean,
-            p.component_fraction
-        )?;
-    }
-    Ok(())
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::sweep::{committed, measure, GridPoint, SweepSpec};
+    use spam_scenario::{ArtifactPrefix, RoutingSpec};
+
+    /// The fault sweep on `switches` switches, `len`-flit messages, with
+    /// the given multicast sizes and fault rates.
+    fn fault_sweep(switches: usize, len: u32, dests: &[usize], rates: &[f64]) -> SweepSpec {
+        let dests: Vec<String> = dests
+            .iter()
+            .map(|d| format!(r#"{{"label": "k={d}", "set": {{"traffic.dests": {d}}}}}"#))
+            .collect();
+        let rates: Vec<String> = rates
+            .iter()
+            .map(|r| format!(r#"{{"set": {{"faults.model.rate": {r}}}}}"#))
+            .collect();
+        committed(
+            "fault_sweep",
+            &format!(
+                r#"{{"base.topology.switches": {switches}, "base.traffic.len": {len},
+                    "axes.1.values": [{}], "axes.2.values": [{}]}}"#,
+                dests.join(", "),
+                rates.join(", ")
+            ),
+        )
+    }
+
+    /// The SPAM and software arms of a one-cell sweep.
+    fn arms(s: &SweepSpec) -> (GridPoint, GridPoint) {
+        let mut grid = s.grid().unwrap();
+        assert_eq!(grid.len(), 2);
+        let soft = grid.pop().unwrap();
+        let spam = grid.pop().unwrap();
+        assert!(matches!(spam.spec.routing, RoutingSpec::Spam { .. }));
+        assert_eq!(soft.spec.routing, RoutingSpec::SoftwareMulticast);
+        (spam, soft)
+    }
 
     #[test]
     fn replications_are_deterministic() {
-        assert_eq!(
-            spam_replication(24, 0.15, 4, 32, 7),
-            spam_replication(24, 0.15, 4, 32, 7)
-        );
-        assert_eq!(
-            software_replication(24, 0.15, 4, 32, 7),
-            software_replication(24, 0.15, 4, 32, 7)
-        );
-    }
-
-    #[test]
-    fn both_arms_see_the_same_instance() {
-        let (a, src_a, dests_a) = degraded_instance(24, 0.2, 5, 3);
-        let (b, src_b, dests_b) = degraded_instance(24, 0.2, 5, 3);
-        assert_eq!(src_a, src_b);
-        assert_eq!(dests_a, dests_b);
-        assert_eq!(a.topo.num_channels(), b.topo.num_channels());
+        let s = fault_sweep(24, 32, &[4], &[0.15]);
+        let (spam, soft) = arms(&s);
+        for p in [&spam, &soft] {
+            assert_eq!(
+                measure(p, 7, s.metric).unwrap(),
+                measure(p, 7, s.metric).unwrap()
+            );
+        }
     }
 
     #[test]
     fn spam_beats_software_even_degraded() {
         // Miniature sweep cell: one startup vs ceil(log2(d+1)) startups
         // dominates even at a 20% link-fault rate.
+        let s = fault_sweep(24, 64, &[7], &[0.2]);
+        let (spam, soft) = arms(&s);
         let mut spam_acc = 0.0;
         let mut soft_acc = 0.0;
-        for seed in 0..6 {
-            spam_acc += spam_replication(24, 0.2, 7, 64, seed);
-            soft_acc += software_replication(24, 0.2, 7, 64, seed);
+        for rep in 0..6 {
+            spam_acc += measure(&spam, rep, s.metric).unwrap();
+            soft_acc += measure(&soft, rep, s.metric).unwrap();
         }
         assert!(
             soft_acc > spam_acc * 2.0,
@@ -335,29 +72,52 @@ mod tests {
     fn pristine_rate_matches_fig2_style_latency() {
         // rate 0.0 reduces to an ordinary single multicast: above the
         // 10 µs startup floor, below saturation.
-        let us = spam_replication(32, 0.0, 8, 128, 11);
+        let s = fault_sweep(32, 128, &[8], &[0.0]);
+        let (spam, _) = arms(&s);
+        let us = measure(&spam, 11, s.metric).unwrap();
         assert!(us > 10.0 && us < 20.0, "latency {us} µs out of range");
     }
 
     #[test]
     fn quick_sweep_produces_all_cells() {
-        let cfg = FaultSweepConfig {
-            switches: 16,
-            rates: vec![0.0, 0.2],
-            dest_counts: vec![2, 4],
-            len: 16,
-            target_rel: 0.25,
-            max_reps: 4,
-            seed: 1,
-        };
-        let pts = run(&cfg);
-        assert_eq!(pts.len(), 4);
-        for p in &pts {
-            assert!(p.spam.mean > 0.0);
-            assert!(p.software.mean > p.spam.mean, "software pays startups");
-            assert!(p.component_fraction > 0.0 && p.component_fraction <= 1.0);
+        let mut s = fault_sweep(16, 16, &[2, 4], &[0.0, 0.2]);
+        s.precision.target_rel = 0.25;
+        s.precision.max_reps = 4;
+        let out = s.run().unwrap();
+        let names: Vec<&str> = out.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            ["SPAM k=2", "SPAM k=4", "software k=2", "software k=4"]
+        );
+        let (spam, soft) = out.split_at(2);
+        let cells: Vec<_> = spam
+            .iter()
+            .zip(soft)
+            .flat_map(|((_, a), (_, b))| a.iter().zip(b))
+            .collect();
+        assert_eq!(cells.len(), 4);
+        for (a, b) in &cells {
+            assert_eq!(a.x, b.x);
+            assert!(a.mean > 0.0);
+            assert!(b.mean > a.mean, "software pays startups");
         }
-        // More damage, smaller surviving component (on average).
-        assert!(pts[0].component_fraction >= pts[1].component_fraction);
+        // The share of processors left in the largest surviving component:
+        // more damage, smaller component (on average).
+        let grid = s.grid().unwrap();
+        let fraction = |p: &GridPoint| {
+            let reps = 4;
+            let total: f64 = (0..reps)
+                .map(|r| {
+                    let arts = ArtifactPrefix::of(&p.spec, r).build().unwrap();
+                    arts.procs.len() as f64 / p.spec.topology.switches as f64
+                })
+                .sum();
+            total / f64::from(reps)
+        };
+        let (pristine, damaged) = (fraction(&grid[0]), fraction(&grid[1]));
+        for f in [pristine, damaged] {
+            assert!(f > 0.0 && f <= 1.0, "component fraction {f}");
+        }
+        assert!(pristine >= damaged);
     }
 }

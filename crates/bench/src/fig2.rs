@@ -1,129 +1,19 @@
-//! Figure 2: latency versus number of destinations for a single multicast
-//! in 128- and 256-node networks.
-//!
-//! Each replication draws a fresh §4 network, a random source, and a
-//! uniform destination set, then measures the latency of one SPAM
-//! multicast in an otherwise idle network. Replications continue until the
-//! 95 % CI is within the configured fraction of the mean (1 % in the
-//! paper).
-//!
-//! The paper's headline result: the curve is essentially **flat** — a
-//! single multi-head worm reaches 4 or 128 destinations in nearly the same
-//! time — and the 256-node broadcast stays under 14 µs.
+//! Figure 2 checks on `sweeps/fig2_128.sweep.json` at miniature scale:
+//! single replications and the flat latency-vs-destinations shape.
 
-use crate::{paper_labeling, paper_network, PointSummary};
-use netgraph::NodeId;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use simstats::PrecisionController;
-use spam_core::SpamRouting;
-use wormsim::{MessageSpec, NetworkSim, SimConfig};
-
-/// Configuration of a Figure 2 sweep.
-#[derive(Debug, Clone)]
-pub struct Fig2Config {
-    /// Network size in switches (= processors): 128 or 256 in the paper.
-    pub switches: usize,
-    /// Destination counts to sweep.
-    pub dest_counts: Vec<usize>,
-    /// Flits per message (128).
-    pub len: u32,
-    /// Relative CI target (0.01).
-    pub target_rel: f64,
-    /// Replication budget per point.
-    pub max_reps: u64,
-    /// RNG stream.
-    pub seed: u64,
-}
-
-impl Fig2Config {
-    /// The paper's sweep for an `n`-node network: destination counts at
-    /// every power of two plus the broadcast, 128-flit messages, 1 % CI.
-    pub fn paper(switches: usize) -> Self {
-        let mut dest_counts = vec![1usize, 2];
-        let mut k = 4;
-        while k < switches - 1 {
-            dest_counts.push(k);
-            k *= 2;
-        }
-        dest_counts.push(switches - 1); // broadcast
-        Fig2Config {
-            switches,
-            dest_counts,
-            len: 128,
-            target_rel: 0.01,
-            max_reps: 2000,
-            seed: 0x5EED_F162,
-        }
-    }
-
-    /// A faster, looser variant for smoke tests and criterion benches.
-    pub fn quick(switches: usize) -> Self {
-        Fig2Config {
-            target_rel: 0.05,
-            max_reps: 64,
-            ..Self::paper(switches)
-        }
-    }
-}
-
-/// One replication: fresh network + one timed multicast. Returns µs.
-pub fn single_multicast_latency_us(switches: usize, dests: usize, len: u32, seed: u64) -> f64 {
-    let topo = paper_network(switches, crate::split_seed(seed, 0xA));
-    let ud = paper_labeling(&topo);
-    let spam = SpamRouting::new(&topo, &ud);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(crate::split_seed(seed, 0xB));
-    let procs: Vec<NodeId> = topo.processors().collect();
-    let src = procs[rng.gen_range(0..procs.len())];
-    let mut others: Vec<NodeId> = procs.iter().copied().filter(|&p| p != src).collect();
-    others.shuffle(&mut rng);
-    others.truncate(dests);
-    let mut sim = NetworkSim::new(&topo, spam, SimConfig::paper());
-    sim.submit(MessageSpec::multicast(src, others, len))
-        .unwrap();
-    let out = sim.run();
-    assert!(
-        out.all_delivered(),
-        "Fig.2 replication deadlocked (seed {seed})"
-    );
-    out.messages[0].latency().expect("delivered").as_us_f64()
-}
-
-/// Runs the full sweep; one [`PointSummary`] per destination count.
-pub fn run(cfg: &Fig2Config) -> Vec<PointSummary> {
-    cfg.dest_counts
-        .iter()
-        .map(|&k| {
-            let mut ctl = PrecisionController::new(
-                cfg.target_rel,
-                simstats::ConfidenceLevel::P95,
-                3,
-                cfg.max_reps,
-            );
-            let stream = crate::split_seed(cfg.seed, k as u64);
-            crate::sweep::replicate_parallel(&mut ctl, stream, |s| {
-                single_multicast_latency_us(cfg.switches, k, cfg.len, s)
-            });
-            let ci = ctl.interval().expect("at least 3 reps");
-            PointSummary {
-                x: k as f64,
-                mean: ci.mean,
-                ci_half_width: ci.half_width,
-                reps: ctl.count(),
-                target_met: ctl.met_target(),
-            }
-        })
-        .collect()
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::sweep::{committed, measure};
 
     #[test]
     fn single_replication_is_deterministic_and_sane() {
-        let a = single_multicast_latency_us(32, 8, 128, 42);
-        let b = single_multicast_latency_us(32, 8, 128, 42);
+        let s = committed(
+            "fig2_128",
+            r#"{"base.topology.switches": 32,
+                "axes.0.values": [{"set": {"traffic.dests": 8}}]}"#,
+        );
+        let p = &s.grid().unwrap()[0];
+        let a = measure(p, 42, s.metric).unwrap();
+        let b = measure(p, 42, s.metric).unwrap();
         assert_eq!(a, b);
         // Startup alone is 10 µs; a 32-node network adds a few hundred ns.
         assert!(a > 10.0 && a < 20.0, "latency {a} µs out of range");
@@ -131,20 +21,22 @@ mod tests {
 
     #[test]
     fn latency_is_flat_in_destination_count() {
-        // The Figure 2 shape at miniature scale: broadcast costs at most
-        // ~20 % more than a unicast.
-        let cfg = Fig2Config {
-            target_rel: 0.05,
-            max_reps: 24,
-            ..Fig2Config::paper(32)
-        };
-        let pts = run(&cfg);
-        let uni = pts.first().unwrap().mean;
-        let bcast = pts.last().unwrap().mean;
-        assert!(bcast < uni * 1.2, "multicast not flat: {uni} -> {bcast}");
+        let s = committed(
+            "fig2_128",
+            r#"{"base.topology.switches": 32,
+                "axes.0.values": [{"set": {"traffic.dests": 1}},
+                                  {"set": {"traffic.dests": 8}},
+                                  {"set": {"traffic.dests": 31}}],
+                "precision.max_reps": 24}"#,
+        );
+        let out = s.run().unwrap();
+        let pts = &out[0].1;
+        // A broadcast costs at most ~20 % more than a unicast.
+        let (uni, bcast) = (pts[0].mean, pts[2].mean);
+        assert!(bcast <= uni * 1.2, "multicast not flat: {uni} -> {bcast}");
         // And every point is above the startup floor.
-        for p in &pts {
-            assert!(p.mean > 10.0);
+        for p in pts {
+            assert!(p.mean > 10.0 && p.mean < 20.0, "dests {}: {}", p.x, p.mean);
             assert!(p.reps >= 3);
         }
     }

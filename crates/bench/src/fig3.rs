@@ -1,160 +1,21 @@
-//! Figure 3: latency versus average arrival rate under mixed traffic
-//! (90 % unicast / 10 % multicast) in a 128-node network, for multicast
-//! sizes 8, 16, 32 and 64.
-//!
-//! The paper's observation: even under heavy load, latency is largely
-//! independent of the multicast destination count, with saturation setting
-//! in past ~0.03 messages/µs/node.
+//! Figure 3 checks on `sweeps/fig3.sweep.json` at miniature scale.
 
-use crate::{paper_labeling, paper_network, PointSummary};
-use simstats::PrecisionController;
-use spam_core::SpamRouting;
-use traffic::MixedTrafficConfig;
-use wormsim::{NetworkSim, SimConfig};
-
-/// Configuration of a Figure 3 sweep.
-#[derive(Debug, Clone)]
-pub struct Fig3Config {
-    /// Network size in switches (128 in the paper).
-    pub switches: usize,
-    /// Multicast sizes (one curve each): 8, 16, 32, 64.
-    pub multicast_sizes: Vec<usize>,
-    /// Arrival rates in messages/µs/node (x axis: 0.005 – 0.04).
-    pub rates: Vec<f64>,
-    /// Messages simulated per replication.
-    pub messages: usize,
-    /// Fraction of messages discarded as warm-up.
-    pub warmup_frac: f64,
-    /// Relative CI target across replications.
-    pub target_rel: f64,
-    /// Replication budget per point.
-    pub max_reps: u64,
-    /// RNG stream.
-    pub seed: u64,
-}
-
-impl Fig3Config {
-    /// The paper's sweep (steady-state-sized replications).
-    pub fn paper() -> Self {
-        Fig3Config {
-            switches: 128,
-            multicast_sizes: vec![8, 16, 32, 64],
-            rates: vec![0.005, 0.01, 0.015, 0.02, 0.025, 0.03, 0.035, 0.04],
-            messages: 4000,
-            warmup_frac: 0.1,
-            target_rel: 0.01,
-            max_reps: 200,
-            seed: 0x5EED_F163,
-        }
-    }
-
-    /// Small variant for smoke tests and criterion benches.
-    pub fn quick() -> Self {
-        Fig3Config {
-            switches: 32,
-            multicast_sizes: vec![4, 8],
-            rates: vec![0.005, 0.02],
-            messages: 400,
-            warmup_frac: 0.1,
-            target_rel: 0.10,
-            max_reps: 6,
-            seed: 0x5EED_F163,
-        }
-    }
-}
-
-/// One replication: mean message latency (µs) over the post-warm-up
-/// window of a mixed-traffic run.
-pub fn mixed_traffic_mean_latency_us(
-    switches: usize,
-    rate: f64,
-    multicast_size: usize,
-    messages: usize,
-    warmup_frac: f64,
-    seed: u64,
-) -> f64 {
-    let topo = paper_network(switches, crate::split_seed(seed, 0xA));
-    let ud = paper_labeling(&topo);
-    let spam = SpamRouting::new(&topo, &ud);
-    let stream = MixedTrafficConfig::figure3(rate, multicast_size, messages)
-        .generate(&topo, crate::split_seed(seed, 0xB))
-        .expect("valid mixed-traffic config");
-    let mut sim = NetworkSim::new(&topo, spam, SimConfig::paper());
-    for spec in stream {
-        sim.submit(spec).unwrap();
-    }
-    let out = sim.run();
-    assert!(
-        out.all_delivered(),
-        "Fig.3 replication deadlocked (seed {seed}): {:?}",
-        out.deadlock
-    );
-    let warmup = (messages as f64 * warmup_frac) as u64;
-    out.mean_latency_us(|m| m.spec.tag >= warmup)
-        .expect("messages completed")
-}
-
-/// One curve (fixed multicast size) across the rate sweep.
-pub fn run_curve(cfg: &Fig3Config, multicast_size: usize) -> Vec<PointSummary> {
-    cfg.rates
-        .iter()
-        .map(|&rate| {
-            let mut ctl = PrecisionController::new(
-                cfg.target_rel,
-                simstats::ConfidenceLevel::P95,
-                3,
-                cfg.max_reps,
-            );
-            let stream = crate::split_seed(
-                cfg.seed,
-                (multicast_size as u64) << 32 | (rate * 1e6) as u64,
-            );
-            crate::sweep::replicate_parallel(&mut ctl, stream, |s| {
-                mixed_traffic_mean_latency_us(
-                    cfg.switches,
-                    rate,
-                    multicast_size,
-                    cfg.messages,
-                    cfg.warmup_frac,
-                    s,
-                )
-            });
-            let ci = ctl.interval().expect("at least 3 reps");
-            PointSummary {
-                x: rate,
-                mean: ci.mean,
-                ci_half_width: ci.half_width,
-                reps: ctl.count(),
-                target_met: ctl.met_target(),
-            }
-        })
-        .collect()
-}
-
-/// The whole figure: one curve per multicast size.
-pub fn run(cfg: &Fig3Config) -> Vec<(usize, Vec<PointSummary>)> {
-    cfg.multicast_sizes
-        .iter()
-        .map(|&k| (k, run_curve(cfg, k)))
-        .collect()
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::sweep::{committed, measure};
 
     #[test]
     fn replication_is_deterministic() {
-        let a = mixed_traffic_mean_latency_us(24, 0.01, 4, 150, 0.1, 5);
-        let b = mixed_traffic_mean_latency_us(24, 0.01, 4, 150, 0.1, 5);
+        let s = committed(
+            "fig3",
+            r#"{"base.topology.switches": 24,
+                "base.traffic.messages": 150,
+                "axes.0.values": [{"set": {"traffic.multicast_dests": 4}}],
+                "axes.1.values": [{"set": {"traffic.rate_per_node_per_us": 0.01}}]}"#,
+        );
+        let p = &s.grid().unwrap()[0];
+        let a = measure(p, 5, s.metric).unwrap();
+        let b = measure(p, 5, s.metric).unwrap();
         assert_eq!(a, b);
         assert!(a > 10.0, "latency {a} below the startup floor");
-    }
-
-    #[test]
-    fn latency_rises_with_load() {
-        let lo = mixed_traffic_mean_latency_us(24, 0.004, 4, 400, 0.1, 9);
-        let hi = mixed_traffic_mean_latency_us(24, 0.08, 4, 400, 0.1, 9);
-        assert!(hi > lo, "latency must rise with load: {lo} !< {hi}");
     }
 }

@@ -19,7 +19,8 @@
 //! * `storm20` — a live mid-run storm killing 20 % of links (SPAM only:
 //!   live reconfiguration is the hardware arm's regime by construction).
 
-use crate::{split_seed, PointSummary};
+use crate::PointSummary;
+use spam_scenario::split_seed;
 use spam_scenario::{
     ArrivalSpec, EngineSpec, FaultModelSpec, FaultsSpec, PolicySpec, RoutingSpec, ScenarioSpec,
     StrategySpec, TopologySpec, TrafficSpec,

@@ -2,19 +2,31 @@
 
 //! # spam-bench — figure/table regeneration harness
 //!
-//! One module per experiment in DESIGN.md's index; each exposes a pure
-//! `run_*` function returning data rows, consumed both by the CLI binaries
-//! (`fig2`, `fig3`, `broadcast_table`, `ablation_*`) and by the criterion
-//! benchmarks. Replications follow the paper's §4 protocol (95 % CI within
-//! 1 % of the mean) via [`simstats::PrecisionController`], fanned across
-//! threads by [`sweep`].
+//! The paper's §4 figures, the broadcast comparison, the fault sweep and
+//! ablations B/D are *data*: `sweeps/*.sweep.json` files, each a grid of
+//! overrides over one [`spam_scenario::ScenarioSpec`], run by the single
+//! `sweep` binary through [`sweep::SweepSpec`]. Replications follow the
+//! paper's §4 protocol (95 % CI within 1 % of the mean) via
+//! [`simstats::PrecisionController`], fanned across threads by
+//! [`sweep::replicate_parallel_with`]. The `fig2`, `fig3` and
+//! `fault_sweep` test modules check those sweep files replication by
+//! replication at miniature scale.
+//!
+//! The remaining modules are instruments the scenario model does not
+//! express yet (root-selection and partition ablations, the live
+//! reconfiguration sweep, engine throughput, congestion and latency
+//! anatomy, snapshot cost, the scenario corpus, fuzzing, and the
+//! scenario service); each exposes a pure `run_*`/`measure` function
+//! consumed by its binary.
 
 pub mod ablations;
-pub mod broadcast;
 pub mod congestion;
-pub mod fault_sweep;
-pub mod fig2;
-pub mod fig3;
+#[cfg(test)]
+mod fault_sweep;
+#[cfg(test)]
+mod fig2;
+#[cfg(test)]
+mod fig3;
 pub mod latency_anatomy;
 pub mod reconfig_sweep;
 pub mod report;
@@ -26,6 +38,7 @@ pub mod throughput;
 
 use netgraph::gen::lattice::IrregularConfig;
 use netgraph::Topology;
+use simstats::PrecisionController;
 use updown::{RootSelection, UpDownLabeling};
 
 /// Builds the §4 network: `switches` 8-port switches on a random integer
@@ -39,16 +52,6 @@ pub fn paper_network(switches: usize, seed: u64) -> Topology {
 /// ablation A varies this).
 pub fn paper_labeling(topo: &Topology) -> UpDownLabeling {
     UpDownLabeling::build(topo, RootSelection::LowestId)
-}
-
-/// Splits a u64 seed stream deterministically (SplitMix64).
-pub fn split_seed(seed: u64, stream: u64) -> u64 {
-    let mut x = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A finished data point: the quantity the paper plots plus its CI.
@@ -66,6 +69,22 @@ pub struct PointSummary {
     pub target_met: bool,
 }
 
+impl PointSummary {
+    /// What `ctl` reports at `x`. A controller holding fewer than two
+    /// samples has no CI: its mean and half-width are NaN (`null` in the
+    /// BENCH json), never a panic.
+    pub fn of(x: f64, ctl: &PrecisionController) -> Self {
+        let ci = ctl.interval();
+        PointSummary {
+            x,
+            mean: ci.map_or(f64::NAN, |c| c.mean),
+            ci_half_width: ci.map_or(f64::NAN, |c| c.half_width),
+            reps: ctl.count(),
+            target_met: ctl.met_target(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,15 +95,5 @@ mod tests {
         assert_eq!(t.num_switches(), 64);
         assert_eq!(t.num_processors(), 64);
         t.validate(8).unwrap();
-    }
-
-    #[test]
-    fn split_seed_streams_differ() {
-        let a = split_seed(42, 0);
-        let b = split_seed(42, 1);
-        let c = split_seed(43, 0);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(split_seed(42, 0), a, "deterministic");
     }
 }

@@ -35,6 +35,7 @@ use simstats::{ConfidenceInterval, ConfidenceLevel, Histogram, PrecisionControll
 use spam_core::SpamRouting;
 use spam_faults::FaultModel;
 use spam_reconfig::{EpochRouting, FaultSchedule, ReconfigScenario};
+use spam_scenario::split_seed;
 use wormsim::{MessageSpec, NetworkSim, SimConfig, SimOutcome};
 
 /// Configuration of a reconfiguration sweep.
@@ -147,7 +148,7 @@ pub fn storm_replication(
     len: u32,
     seed: u64,
 ) -> StormReplication {
-    let base = paper_network(switches, crate::split_seed(seed, 0xA));
+    let base = paper_network(switches, split_seed(seed, 0xA));
     let ud = paper_labeling(&base);
     // The storm strikes the middle half of the stream's startup-shifted
     // arrival window, so worms are in flight at every burst.
@@ -163,14 +164,14 @@ pub fn storm_replication(
             None,
             window,
             bursts,
-            crate::split_seed(seed, 0xB),
+            split_seed(seed, 0xB),
         )
     } else {
         FaultSchedule::default()
     };
 
     let procs: Vec<NodeId> = base.processors().collect();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(crate::split_seed(seed, 0xC));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(split_seed(seed, 0xC));
     let specs: Vec<MessageSpec> = (0..messages)
         .map(|i| {
             let src = procs[rng.gen_range(0..procs.len())];
@@ -281,7 +282,7 @@ pub fn run(cfg: &ReconfigSweepConfig) -> Vec<ReconfigPoint> {
     let mut out = Vec::new();
     for &k in &cfg.dest_counts {
         for &rate in &cfg.storm_rates {
-            let stream = crate::split_seed(cfg.seed, (k as u64) << 32 | (rate * 1e4) as u64);
+            let stream = split_seed(cfg.seed, (k as u64) << 32 | (rate * 1e4) as u64);
             let controller =
                 || PrecisionController::new(cfg.target_rel, ConfidenceLevel::P95, 3, cfg.max_reps);
             let (mut live_ctl, mut static_ctl) = (controller(), controller());
@@ -291,8 +292,7 @@ pub fn run(cfg: &ReconfigSweepConfig) -> Vec<ReconfigPoint> {
             let mut static_hist = latency_histogram();
             let mut reps = 0u64;
             crate::sweep::replicate_parallel_with(
-                stream,
-                |s: u64| {
+                |i: u64| {
                     storm_replication(
                         cfg.switches,
                         rate,
@@ -301,7 +301,7 @@ pub fn run(cfg: &ReconfigSweepConfig) -> Vec<ReconfigPoint> {
                         cfg.spacing_us,
                         cfg.bursts,
                         cfg.len,
-                        s,
+                        split_seed(stream, i),
                     )
                 },
                 |r: StormReplication| {
@@ -332,26 +332,6 @@ pub fn run(cfg: &ReconfigSweepConfig) -> Vec<ReconfigPoint> {
                     reps >= cfg.max_reps || (live_ctl.satisfied() && static_ctl.satisfied())
                 },
             );
-            let summarize = |ctl: &PrecisionController| match ctl.interval() {
-                Some(ci) => PointSummary {
-                    x: rate,
-                    mean: ci.mean,
-                    ci_half_width: ci.half_width,
-                    reps: ctl.count(),
-                    target_met: ctl.met_target(),
-                },
-                // A cell can starve an arm entirely (e.g. heavy storms on
-                // tiny networks leave the static arm with no delivered
-                // messages at all): report NaN, not a panic — the JSON
-                // writer turns it into `null`.
-                None => PointSummary {
-                    x: rate,
-                    mean: f64::NAN,
-                    ci_half_width: f64::NAN,
-                    reps: ctl.count(),
-                    target_met: false,
-                },
-            };
             let epoch_latency = epoch_stats
                 .iter()
                 .enumerate()
@@ -369,8 +349,11 @@ pub fn run(cfg: &ReconfigSweepConfig) -> Vec<ReconfigPoint> {
             out.push(ReconfigPoint {
                 rate,
                 dests: k,
-                live: summarize(&live_ctl),
-                static_: summarize(&static_ctl),
+                // A cell can starve an arm entirely (e.g. heavy storms on
+                // tiny networks leave the static arm with no delivered
+                // messages at all): that arm reports NaN, not a panic.
+                live: PointSummary::of(rate, &live_ctl),
+                static_: PointSummary::of(rate, &static_ctl),
                 live_delivered_frac: fracs[0].mean(),
                 live_torn_frac: fracs[1].mean(),
                 live_unreachable_frac: fracs[2].mean(),

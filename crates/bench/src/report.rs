@@ -79,6 +79,16 @@ pub fn write_bench_json(dir: &Path, bench: &BenchJson) -> std::io::Result<PathBu
     std::fs::create_dir_all(dir)?;
     let file = format!("BENCH_{}.json", bench.name);
     let path = dir.join(&file);
+    let body = bench_json_text(bench);
+    std::fs::write(&path, &body)?;
+    if path.as_path() != Path::new(&file) {
+        std::fs::write(&file, &body)?;
+    }
+    Ok(path)
+}
+
+/// The exact bytes [`write_bench_json`] writes for `bench`.
+pub fn bench_json_text(bench: &BenchJson) -> String {
     let mut body = String::new();
     writeln!(body, "{{").unwrap();
     writeln!(body, "  \"schema\": 1,").unwrap();
@@ -120,11 +130,7 @@ pub fn write_bench_json(dir: &Path, bench: &BenchJson) -> std::io::Result<PathBu
     }
     writeln!(body, "  ]").unwrap();
     writeln!(body, "}}").unwrap();
-    std::fs::write(&path, &body)?;
-    if path.as_path() != Path::new(&file) {
-        std::fs::write(&file, &body)?;
-    }
-    Ok(path)
+    body
 }
 
 /// Renders one or more named series as an ASCII scatter plot, mimicking

@@ -4,12 +4,11 @@
 //!
 //! Three series, `x` = switch count:
 //! * `snapshot_kib` — mean sealed snapshot size (KiB);
-//! * `checkpoint_write_us` — mean wall-clock cost of one checkpoint
-//!   (encode + checksum + sink store), measured as the runtime delta
-//!   between a checkpointed run and an identical plain run divided by
-//!   the number of checkpoints taken;
+//! * `checkpoint_write_us` — mean wall-clock cost of encoding one
+//!   snapshot (`NetworkSim::snapshot` + seal), timed directly over
+//!   several encodes of the engine restored from the mid-run snapshot;
 //! * `restore_us` — mean wall-clock cost of rebuilding a live engine
-//!   from one mid-run snapshot (decode + validation, not the remainder
+//!   from that mid-run snapshot (decode + validation, not the remainder
 //!   of the run).
 
 use crate::report::BenchJson;
@@ -19,7 +18,7 @@ use spam_core::SpamRouting;
 use std::time::Instant;
 use traffic::MixedTrafficConfig;
 use updown::{RootSelection, UpDownLabeling};
-use wormsim::{CheckpointSink, NetworkSim, SimConfig};
+use wormsim::{CheckpointSink, NetworkSim, SimConfig, SnapWriter};
 
 /// One network size's measurements.
 #[derive(Debug, Clone)]
@@ -30,7 +29,7 @@ pub struct SnapshotCost {
     pub checkpoints: usize,
     /// Mean sealed snapshot size, bytes.
     pub mean_bytes: f64,
-    /// Mean per-checkpoint write cost, µs.
+    /// Mean snapshot encode cost, µs.
     pub write_us: f64,
     /// Mean restore cost, µs.
     pub restore_us: f64,
@@ -41,6 +40,9 @@ fn workload(switches: usize) -> MixedTrafficConfig {
     // biggest sweep point taking minutes: 4 messages per processor.
     MixedTrafficConfig::figure3(0.25, 8, switches * 4)
 }
+
+/// Timed repetitions of each restore and encode.
+const ITERS: u32 = 10;
 
 /// Measures one network size. Deterministic workload; the only
 /// nondeterminism is the wall clock.
@@ -64,37 +66,41 @@ pub fn measure(switches: usize, seed: u64) -> SnapshotCost {
         sim
     };
 
-    // Plain run: baseline wall time and the horizon that sizes the
-    // checkpoint cadence (~8 checkpoints per run).
-    let t0 = Instant::now();
+    // Plain run: the horizon that sizes the checkpoint cadence (~8
+    // checkpoints per run).
     let out = fresh(None).run();
-    let plain = t0.elapsed();
     let every = Duration::from_ns((out.end_time.as_ns() / 8).max(1));
 
     let (sink, kept) = CheckpointSink::keep_all();
-    let t0 = Instant::now();
     fresh(Some((every, sink))).run();
-    let checkpointed = t0.elapsed();
     let kept = match kept.lock() {
         Ok(g) => g.clone(),
         Err(p) => p.into_inner().clone(),
     };
     let n = kept.len().max(1);
     let mean_bytes = kept.iter().map(|(_, b)| b.len() as f64).sum::<f64>() / n as f64;
-    let write_us = checkpointed.saturating_sub(plain).as_secs_f64() * 1e6 / n as f64;
 
-    // Restore cost: rebuild from the mid-run snapshot a few times.
-    let restore_us = match kept.get(kept.len() / 2) {
+    // Restore cost: rebuild from the mid-run snapshot a few times; write
+    // cost: re-encode the restored mid-run state a few times.
+    let (write_us, restore_us) = match kept.get(kept.len() / 2) {
         Some((_, bytes)) => {
-            const ITERS: u32 = 5;
+            let restore = || NetworkSim::restore(&topo, SpamRouting::new(&topo, &ud), cfg, bytes);
             let t0 = Instant::now();
             for _ in 0..ITERS {
-                NetworkSim::restore(&topo, SpamRouting::new(&topo, &ud), cfg, bytes)
-                    .expect("own snapshot restores");
+                restore().expect("own snapshot restores");
             }
-            t0.elapsed().as_secs_f64() * 1e6 / f64::from(ITERS)
+            let restore_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(ITERS);
+            let sim = restore().expect("own snapshot restores");
+            let mut w = SnapWriter::with_capacity(bytes.len());
+            let t0 = Instant::now();
+            for _ in 0..ITERS {
+                sim.snapshot(&mut w).expect("restored engine encodes");
+                w.seal();
+            }
+            let write_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(ITERS);
+            (write_us, restore_us)
         }
-        None => 0.0,
+        None => (0.0, 0.0),
     };
 
     SnapshotCost {
@@ -133,14 +139,14 @@ pub fn snapshot_bench_json(costs: &[SnapshotCost], seed: u64) -> BenchJson {
             "checkpoint_write_us".to_string(),
             costs
                 .iter()
-                .map(|c| point(c.switches as f64, c.write_us, c.checkpoints as u64))
+                .map(|c| point(c.switches as f64, c.write_us, ITERS.into()))
                 .collect(),
         ),
         (
             "restore_us".to_string(),
             costs
                 .iter()
-                .map(|c| point(c.switches as f64, c.restore_us, 5))
+                .map(|c| point(c.switches as f64, c.restore_us, ITERS.into()))
                 .collect(),
         ),
     ];
@@ -174,6 +180,7 @@ mod tests {
         let cost = measure(24, 3);
         assert!(cost.checkpoints >= 1, "cadence must fire: {cost:?}");
         assert!(cost.mean_bytes > 0.0);
+        assert!(cost.write_us > 0.0 && cost.restore_us > 0.0, "{cost:?}");
         let bench = snapshot_bench_json(&[cost], 3);
         assert_eq!(bench.name, "snapshot");
         assert_eq!(bench.series.len(), 3);

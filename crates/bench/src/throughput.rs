@@ -17,9 +17,10 @@
 //! stable via checksum fields, making events/sec comparisons apples to
 //! apples.
 
-use crate::{paper_labeling, paper_network, split_seed};
+use crate::{paper_labeling, paper_network};
 use netgraph::NodeId;
 use spam_core::SpamRouting;
+use spam_scenario::split_seed;
 use std::time::Instant;
 use wormsim::{MessageSpec, NetworkSim, SimConfig};
 

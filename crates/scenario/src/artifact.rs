@@ -159,56 +159,8 @@ impl ArtifactPrefix {
     /// Prefixes extracted from validated specs always pass; this guards
     /// prefixes decoded from a persisted cache manifest.
     pub fn validate(&self) -> Result<(), SpecError> {
-        let t = &self.topology;
-        if t.switches < 2 {
-            return Err(SpecError::TooFewSwitches {
-                switches: t.switches,
-            });
-        }
-        if let Some(side) = t.side {
-            if side * side < t.switches {
-                return Err(SpecError::LatticeTooSmall {
-                    switches: t.switches,
-                    side,
-                });
-            }
-        }
-        if t.ports < 5 {
-            return Err(SpecError::BadPorts { ports: t.ports });
-        }
-        let check_model = |m: &FaultModelSpec| match *m {
-            FaultModelSpec::IidLinks { rate } | FaultModelSpec::IidSwitches { rate } => {
-                if (0.0..=1.0).contains(&rate) {
-                    Ok(())
-                } else {
-                    Err(SpecError::BadFaultRate { rate })
-                }
-            }
-            FaultModelSpec::Region { .. } => Ok(()),
-        };
-        match self.faults {
-            FaultsSpec::None => Ok(()),
-            FaultsSpec::Static { ref model, .. } => check_model(model),
-            FaultsSpec::Storm {
-                ref model,
-                window_start_us,
-                window_end_us,
-                bursts,
-                ..
-            } => {
-                check_model(model)?;
-                if window_end_us <= window_start_us {
-                    return Err(SpecError::EmptyStormWindow {
-                        start_us: window_start_us,
-                        end_us: window_end_us,
-                    });
-                }
-                if bursts == 0 {
-                    return Err(SpecError::ZeroBursts);
-                }
-                Ok(())
-            }
-        }
+        self.topology.validate()?;
+        self.faults.validate()
     }
 
     /// Builds the artifacts this prefix describes: lattice generation,

@@ -14,9 +14,11 @@ use crate::spec::{
 };
 
 // ---------------------------------------------------------------------
-// Decoding helpers
+// Decoding helpers (public so other strict documents — sweep files —
+// decode with the same dotted-path errors)
 
-fn fields<'a>(v: &'a Json, path: &str) -> Result<&'a [(String, Json)], SpecError> {
+/// The fields of the object `v`, or `WrongType` at `path`.
+pub fn fields<'a>(v: &'a Json, path: &str) -> Result<&'a [(String, Json)], SpecError> {
     match v {
         Json::Obj(f) => Ok(f),
         _ => Err(SpecError::WrongType {
@@ -26,17 +28,20 @@ fn fields<'a>(v: &'a Json, path: &str) -> Result<&'a [(String, Json)], SpecError
     }
 }
 
-fn get<'a>(f: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
+/// The value of `key` among `f`, if present.
+pub fn get<'a>(f: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
     f.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn require<'a>(f: &'a [(String, Json)], path: &str, key: &str) -> Result<&'a Json, SpecError> {
+/// The value of `key` among `f`, or `MissingField` at `path.key`.
+pub fn require<'a>(f: &'a [(String, Json)], path: &str, key: &str) -> Result<&'a Json, SpecError> {
     get(f, key).ok_or_else(|| SpecError::MissingField {
         field: format!("{path}.{key}"),
     })
 }
 
-fn check_unknown(f: &[(String, Json)], path: &str, allowed: &[&str]) -> Result<(), SpecError> {
+/// `UnknownField` for the first key of `f` outside `allowed` (typo guard).
+pub fn check_unknown(f: &[(String, Json)], path: &str, allowed: &[&str]) -> Result<(), SpecError> {
     for (k, _) in f {
         if !allowed.contains(&k.as_str()) {
             return Err(SpecError::UnknownField {
@@ -47,7 +52,8 @@ fn check_unknown(f: &[(String, Json)], path: &str, allowed: &[&str]) -> Result<(
     Ok(())
 }
 
-fn str_of(v: &Json, path: &str) -> Result<String, SpecError> {
+/// `v` as a string, or `WrongType` at `path`.
+pub fn str_of(v: &Json, path: &str) -> Result<String, SpecError> {
     v.as_str()
         .map(str::to_string)
         .ok_or_else(|| SpecError::WrongType {
@@ -56,7 +62,8 @@ fn str_of(v: &Json, path: &str) -> Result<String, SpecError> {
         })
 }
 
-fn u64_of(v: &Json, path: &str) -> Result<u64, SpecError> {
+/// `v` as a non-negative integer, or `WrongType` at `path`.
+pub fn u64_of(v: &Json, path: &str) -> Result<u64, SpecError> {
     v.as_num()
         .and_then(|n| n.as_u64())
         .ok_or_else(|| SpecError::WrongType {
@@ -74,7 +81,8 @@ fn usize_of(v: &Json, path: &str) -> Result<usize, SpecError> {
     })
 }
 
-fn u32_of(v: &Json, path: &str) -> Result<u32, SpecError> {
+/// `v` as a `u32`, or `WrongType` at `path`.
+pub fn u32_of(v: &Json, path: &str) -> Result<u32, SpecError> {
     u64_of(v, path).and_then(|n| {
         u32::try_from(n).map_err(|_| SpecError::WrongType {
             field: path.to_string(),
@@ -90,7 +98,8 @@ fn bool_of(v: &Json, path: &str) -> Result<bool, SpecError> {
     })
 }
 
-fn f64_of(v: &Json, path: &str) -> Result<f64, SpecError> {
+/// `v` as a number, or `WrongType` at `path`.
+pub fn f64_of(v: &Json, path: &str) -> Result<f64, SpecError> {
     v.as_num()
         .map(|n| n.as_f64())
         .ok_or_else(|| SpecError::WrongType {
@@ -99,7 +108,8 @@ fn f64_of(v: &Json, path: &str) -> Result<f64, SpecError> {
         })
 }
 
-fn kind_of<'a>(f: &'a [(String, Json)], path: &str) -> Result<&'a str, SpecError> {
+/// The `kind` tag among `f`, or `MissingField`/`WrongType` at `path.kind`.
+pub fn kind_of<'a>(f: &'a [(String, Json)], path: &str) -> Result<&'a str, SpecError> {
     require(f, path, "kind")?
         .as_str()
         .ok_or_else(|| SpecError::WrongType {

@@ -6,18 +6,18 @@ use crate::artifact::{ArtifactPrefix, ScenarioArtifacts};
 use crate::spec::{
     FaultsSpec, PolicySpec, QueueSpec, RoutingSpec, ScenarioSpec, SpecError, TrafficSpec,
 };
-use baselines::{UnicastMulticast, UpDownUnicastRouting};
+use baselines::UnicastMulticast;
 use desim::{Duration, QueueKind, Time};
 use netgraph::gen::lattice::LatticeLayout;
-use netgraph::{NodeId, Topology};
+use netgraph::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spam_core::SelectionPolicy;
 use std::collections::HashMap;
 use traffic::{BroadcastStormConfig, ClosedLoopInjector, DestinationSampler};
 use wormsim::{
-    CheckpointSink, CompletionHook, MessageSpec, MetricsConfig, MsgId, NetworkSim,
-    RoutingAlgorithm, SimConfig, SimOutcome, SnapshotError,
+    CheckpointSink, CompletionHook, MessageSpec, MetricsConfig, MsgId, NetworkSim, NoHook,
+    RoutingAlgorithm, SimConfig, SimOutcome,
 };
 
 /// How the runner drives the engine: a fresh run, a fresh run that also
@@ -45,57 +45,8 @@ pub(crate) enum RunMode<'a> {
     },
 }
 
-impl RunMode<'_> {
-    /// Installs the checkpoint observer on a freshly built simulator.
-    /// Resume never reaches here: the engine reconstructs the snapshot's
-    /// own checkpoint ticker.
-    fn install<R: RoutingAlgorithm>(self, sim: &mut NetworkSim<'_, R>) {
-        if let RunMode::Checkpoint { every, sink } = self {
-            sim.enable_checkpoints(every, sink);
-        }
-    }
-}
-
-/// Every snapshot-layer failure surfaces as a typed spec error.
-fn to_snap_err(e: SnapshotError) -> SpecError {
-    SpecError::Snapshot {
-        detail: e.to_string(),
-    }
-}
-
-/// The pure observers a spec asks for (trace, telemetry), resolved once
-/// per run and installed on each simulator the runner constructs.
-#[derive(Debug, Clone, Copy)]
-struct Observers {
-    trace: bool,
-    metrics: Option<MetricsConfig>,
-}
-
-impl Observers {
-    fn from_spec(spec: &ScenarioSpec) -> Self {
-        Observers {
-            trace: spec.engine.trace,
-            // A declared horizon sizes the sample ring to keep the whole
-            // run; without one the default capacity rings over.
-            metrics: spec.engine.metrics_every_ns.map(|n| match spec.horizon_us {
-                Some(h) => MetricsConfig::for_horizon(n, h.saturating_mul(1_000)),
-                None => MetricsConfig::every_ns(n),
-            }),
-        }
-    }
-
-    fn install<R: RoutingAlgorithm>(&self, sim: &mut NetworkSim<'_, R>) {
-        if self.trace {
-            sim.enable_trace();
-        }
-        if let Some(cfg) = self.metrics {
-            sim.enable_metrics(cfg);
-        }
-    }
-}
-
-/// Splits a u64 seed stream deterministically (SplitMix64; the same
-/// mixer `spam-bench` uses).
+/// Splits a u64 seed stream deterministically (SplitMix64; the one
+/// seed mixer of the workspace — `spam-bench` uses it too).
 pub fn split_seed(seed: u64, stream: u64) -> u64 {
     let mut x = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     x ^= x >> 30;
@@ -277,13 +228,9 @@ pub(crate) fn run_once_mode(
 /// from `arts`. Produces byte-identical outcomes to [`run_once`] for the
 /// same spec and replication (pinned by the differential cache suite).
 ///
-/// # Panics
-///
-/// Panics when `arts` was built for a different topology+faults prefix
-/// or replication than `(spec, rep)` — running on mismatched artifacts
-/// would silently simulate the wrong network, so the contract is
-/// asserted, not assumed. Use [`ArtifactPrefix::matches`] to check first
-/// when the pairing is not known by construction.
+/// Artifacts built for a different topology+faults prefix or replication
+/// than `(spec, rep)` are rejected with [`SpecError::ArtifactMismatch`]:
+/// running on them would silently simulate the wrong network.
 pub fn run_with_artifacts(
     spec: &ScenarioSpec,
     rep: u32,
@@ -301,10 +248,9 @@ pub(crate) fn run_mode_with_artifacts(
     mode: RunMode<'_>,
     arts: &ScenarioArtifacts,
 ) -> Result<SimOutcome, SpecError> {
-    assert!(
-        arts.prefix.matches(spec, rep),
-        "artifacts were built for a different topology+faults prefix"
-    );
+    if !arts.prefix.matches(spec, rep) {
+        return Err(SpecError::ArtifactMismatch);
+    }
     let mut cfg = SimConfig::paper()
         .with_buffers(
             spec.engine.input_buffer_flits,
@@ -340,25 +286,13 @@ pub(crate) fn run_mode_with_artifacts(
             let routing = arts
                 .epoch_routing()
                 .expect("storm prefix has storm artifacts");
-            let topo = &arts.topo;
-            let mut out = match mode {
-                RunMode::Resume { bytes } => {
-                    // The fault schedule's link-down events are *in* the
-                    // snapshot — reinstalling would fire each fault twice.
-                    NetworkSim::restore(topo, routing, cfg, bytes)
-                        .map_err(to_snap_err)?
-                        .run()
-                }
-                mode => {
-                    let stream = open_stream(spec, topo, &arts.layout, &arts.procs, traffic_seed)?;
-                    let mut sim = NetworkSim::new(topo, routing, cfg);
-                    Observers::from_spec(spec).install(&mut sim);
-                    mode.install(&mut sim);
-                    storm.schedule.install(&mut sim);
-                    submit_all(&mut sim, stream)?;
-                    sim.run()
-                }
-            };
+            // On resume the fault schedule's link-down events are *in*
+            // the snapshot — reinstalling would fire each fault twice.
+            let mut out = execute(spec, &arts.topo, routing, cfg, mode, NoHook, |sim, _| {
+                let stream = open_stream(spec, arts, traffic_seed)?;
+                storm.schedule.install(sim);
+                submit_all(sim, stream)
+            })?;
             // Scenario-level coverage: the shape of each post-fault
             // relabel (incremental reattach vs full rebuild) is decided
             // here, not in the engine, so merge it into the run's
@@ -378,53 +312,92 @@ pub(crate) fn run_mode_with_artifacts(
         }
         // Pristine and statically degraded networks share the dispatch:
         // the artifacts already hold the right topology, labeling, and
-        // surviving-processor population for either case.
-        FaultsSpec::None | FaultsSpec::Static { .. } => {
-            dispatch(spec, arts, cfg, traffic_seed, mode)
-        }
+        // surviving-processor population for either case, and each
+        // routing arm attaches to their cached precomputes.
+        FaultsSpec::None | FaultsSpec::Static { .. } => match spec.routing {
+            RoutingSpec::Spam { policy } => {
+                let routing = arts.spam_routing().with_policy(to_policy(policy));
+                run_static(spec, arts, routing, cfg, traffic_seed, mode)
+            }
+            RoutingSpec::UpDownUnicast => {
+                run_static(spec, arts, arts.updown_routing(), cfg, traffic_seed, mode)
+            }
+            RoutingSpec::SoftwareMulticast => run_software(spec, arts, cfg, traffic_seed, mode),
+        },
     }
 }
 
-/// Static-network execution: attach the routing arm to the artifacts'
-/// cached precomputes and drive the workload (open-loop stream or
-/// closed-loop hook).
-fn dispatch(
+/// One routing arm on a static network: an open-loop stream, or a
+/// closed-loop injector driving the run as its completion hook.
+fn run_static<R: RoutingAlgorithm>(
     spec: &ScenarioSpec,
     arts: &ScenarioArtifacts,
+    routing: R,
     cfg: SimConfig,
     traffic_seed: u64,
     mode: RunMode<'_>,
 ) -> Result<SimOutcome, SpecError> {
-    let closed_loop = spec.closed_loop_config();
-    let obs = Observers::from_spec(spec);
-    let (topo, layout, procs) = (&arts.topo, &arts.layout, arts.procs.as_slice());
-    match spec.routing {
-        RoutingSpec::Spam { policy } => {
-            let routing = arts.spam_routing().with_policy(to_policy(policy));
-            match closed_loop {
-                Some(cl) => run_closed_loop(topo, routing, cfg, cl, procs, traffic_seed, obs, mode),
-                None => {
-                    let stream = open_stream(spec, topo, layout, procs, traffic_seed)?;
-                    run_open(topo, routing, cfg, stream, obs, mode)
-                }
-            }
+    let topo = &arts.topo;
+    match spec.closed_loop_config() {
+        // The injector's immutable shape (population, per-source quotas)
+        // rebuilds from the spec; on resume its mutable state — remaining
+        // quotas, RNG position, next tag — is decoded from the snapshot.
+        Some(cl) => {
+            let inj = ClosedLoopInjector::new_within(cl, &arts.procs, traffic_seed)?;
+            execute(spec, topo, routing, cfg, mode, inj, |sim, inj| {
+                submit_all(sim, inj.initial_sends())
+            })
         }
-        RoutingSpec::UpDownUnicast => {
-            let routing = arts.updown_routing();
-            match closed_loop {
-                Some(cl) => run_closed_loop(topo, routing, cfg, cl, procs, traffic_seed, obs, mode),
-                None => {
-                    let stream = open_stream(spec, topo, layout, procs, traffic_seed)?;
-                    run_open(topo, routing, cfg, stream, obs, mode)
-                }
-            }
-        }
-        RoutingSpec::SoftwareMulticast => {
-            let routing = arts.updown_routing();
-            let stream = open_stream(spec, topo, layout, procs, traffic_seed)?;
-            run_software(topo, routing, cfg, stream, obs, mode)
-        }
+        None => execute(spec, topo, routing, cfg, mode, NoHook, |sim, _| {
+            submit_all(sim, open_stream(spec, arts, traffic_seed)?)
+        }),
     }
+}
+
+/// The one resume-or-fresh path. Resume restores the engine (and
+/// `hook`'s mutable state) from snapshot bytes — the pending workload,
+/// the observers' state, and the checkpoint ticker live in the snapshot,
+/// so nothing is submitted or installed again. A fresh run builds the
+/// engine, installs the pure observers the spec asks for (trace,
+/// telemetry) and the checkpoint mode, and lets `submit` feed the
+/// initial workload. Either way the engine then runs to completion with
+/// `hook`.
+fn execute<'t, R: RoutingAlgorithm, H: CompletionHook>(
+    spec: &ScenarioSpec,
+    topo: &'t Topology,
+    routing: R,
+    cfg: SimConfig,
+    mode: RunMode<'_>,
+    mut hook: H,
+    submit: impl FnOnce(&mut NetworkSim<'t, R>, &mut H) -> Result<(), SpecError>,
+) -> Result<SimOutcome, SpecError> {
+    if let RunMode::Resume { bytes } = mode {
+        // Every snapshot-layer failure surfaces as a typed spec error.
+        let sim =
+            NetworkSim::restore_with_hook(topo, routing, cfg, bytes, &mut hook).map_err(|e| {
+                SpecError::Snapshot {
+                    detail: e.to_string(),
+                }
+            })?;
+        return Ok(sim.run_with_hook(&mut hook));
+    }
+    let mut sim = NetworkSim::new(topo, routing, cfg);
+    if spec.engine.trace {
+        sim.enable_trace();
+    }
+    if let Some(n) = spec.engine.metrics_every_ns {
+        // A declared horizon sizes the sample ring to keep the whole
+        // run; without one the default capacity rings over.
+        sim.enable_metrics(match spec.horizon_us {
+            Some(h) => MetricsConfig::for_horizon(n, h.saturating_mul(1_000)),
+            None => MetricsConfig::every_ns(n),
+        });
+    }
+    if let RunMode::Checkpoint { every, sink } = mode {
+        sim.enable_checkpoints(every, sink);
+    }
+    submit(&mut sim, &mut hook)?;
+    Ok(sim.run_with_hook(&mut hook))
 }
 
 fn to_policy(p: PolicySpec) -> SelectionPolicy {
@@ -442,11 +415,10 @@ fn to_policy(p: PolicySpec) -> SelectionPolicy {
 #[allow(clippy::expect_used)]
 fn open_stream(
     spec: &ScenarioSpec,
-    topo: &Topology,
-    layout: &LatticeLayout,
-    procs: &[NodeId],
+    arts: &ScenarioArtifacts,
     seed: u64,
 ) -> Result<Vec<MessageSpec>, SpecError> {
+    let (topo, layout, procs) = (&arts.topo, &arts.layout, arts.procs.as_slice());
     match &spec.traffic {
         TrafficSpec::SingleMulticast { dests, len } => {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -482,80 +454,16 @@ fn open_stream(
     }
 }
 
-fn to_msg_err(e: wormsim::SpecError) -> SpecError {
-    SpecError::Message {
-        detail: e.to_string(),
-    }
-}
-
 fn submit_all<R: RoutingAlgorithm>(
     sim: &mut NetworkSim<'_, R>,
     stream: Vec<MessageSpec>,
 ) -> Result<(), SpecError> {
     for spec in stream {
-        sim.submit(spec).map_err(to_msg_err)?;
+        sim.submit(spec).map_err(|e| SpecError::Message {
+            detail: e.to_string(),
+        })?;
     }
     Ok(())
-}
-
-fn run_open<R: RoutingAlgorithm>(
-    topo: &Topology,
-    routing: R,
-    cfg: SimConfig,
-    stream: Vec<MessageSpec>,
-    obs: Observers,
-    mode: RunMode<'_>,
-) -> Result<SimOutcome, SpecError> {
-    match mode {
-        RunMode::Resume { bytes } => {
-            // The pending stream (and the observers' state) lives in the
-            // snapshot; submitting again would double every message.
-            drop(stream);
-            Ok(NetworkSim::restore(topo, routing, cfg, bytes)
-                .map_err(to_snap_err)?
-                .run())
-        }
-        mode => {
-            let mut sim = NetworkSim::new(topo, routing, cfg);
-            obs.install(&mut sim);
-            mode.install(&mut sim);
-            submit_all(&mut sim, stream)?;
-            Ok(sim.run())
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_closed_loop<R: RoutingAlgorithm>(
-    topo: &Topology,
-    routing: R,
-    cfg: SimConfig,
-    cl: traffic::ClosedLoopConfig,
-    procs: &[NodeId],
-    seed: u64,
-    obs: Observers,
-    mode: RunMode<'_>,
-) -> Result<SimOutcome, SpecError> {
-    // The injector's immutable shape (population, per-source quotas)
-    // rebuilds from the spec; on resume its mutable state — remaining
-    // quotas, RNG position, next tag — is decoded from the snapshot by
-    // `restore_with_hook` before the first event fires.
-    let mut inj = ClosedLoopInjector::new_within(cl, procs, seed)?;
-    match mode {
-        RunMode::Resume { bytes } => {
-            let sim = NetworkSim::restore_with_hook(topo, routing, cfg, bytes, &mut inj)
-                .map_err(to_snap_err)?;
-            Ok(sim.run_with_hook(&mut inj))
-        }
-        mode => {
-            let initial = inj.initial_sends();
-            let mut sim = NetworkSim::new(topo, routing, cfg);
-            obs.install(&mut sim);
-            mode.install(&mut sim);
-            submit_all(&mut sim, initial)?;
-            Ok(sim.run_with_hook(&mut inj))
-        }
-    }
 }
 
 /// All the in-flight software multicasts of one run, dispatched by tag.
@@ -574,52 +482,50 @@ impl CompletionHook for MulticastFleet {
 }
 
 fn run_software(
-    topo: &Topology,
-    routing: UpDownUnicastRouting<'_>,
+    spec: &ScenarioSpec,
+    arts: &ScenarioArtifacts,
     cfg: SimConfig,
-    stream: Vec<MessageSpec>,
-    obs: Observers,
+    traffic_seed: u64,
     mode: RunMode<'_>,
 ) -> Result<SimOutcome, SpecError> {
+    let stream = open_stream(spec, arts, traffic_seed)?;
+    // One binomial forwarding tree per multicast; the original message's
+    // tag names the tree (tags are unique per stream). The trees are pure
+    // functions of the stream, so a resumed run rebuilds them too.
     let mut fleet = MulticastFleet::default();
-    match mode {
-        RunMode::Resume { bytes } => {
-            // The forwarding trees are pure functions of the regenerated
-            // stream (no mutable state), so rebuild the fleet without
-            // submitting — every in-flight unicast is in the snapshot.
-            for spec in stream {
-                if !spec.is_unicast() {
-                    let um =
-                        UnicastMulticast::new(spec.src, &spec.dests, spec.len, cfg.latency.startup)
-                            .with_tag(spec.tag);
-                    fleet.by_tag.insert(spec.tag, um);
-                }
-            }
-            let sim = NetworkSim::restore_with_hook(topo, routing, cfg, bytes, &mut fleet)
-                .map_err(to_snap_err)?;
-            Ok(sim.run_with_hook(&mut fleet))
+    let mut sends = Vec::with_capacity(stream.len());
+    for spec in stream {
+        if spec.is_unicast() {
+            sends.push(spec);
+        } else {
+            let um = UnicastMulticast::new(spec.src, &spec.dests, spec.len, cfg.latency.startup)
+                .with_tag(spec.tag);
+            sends.extend(um.initial_sends(spec.gen_time));
+            fleet.by_tag.insert(spec.tag, um);
         }
-        mode => {
-            let mut sim = NetworkSim::new(topo, routing, cfg);
-            obs.install(&mut sim);
-            mode.install(&mut sim);
-            for spec in stream {
-                if spec.is_unicast() {
-                    sim.submit(spec).map_err(to_msg_err)?;
-                } else {
-                    // One binomial forwarding tree per multicast; the
-                    // original message's tag names the tree (tags are
-                    // unique per stream).
-                    let um =
-                        UnicastMulticast::new(spec.src, &spec.dests, spec.len, cfg.latency.startup)
-                            .with_tag(spec.tag);
-                    for s in um.initial_sends(spec.gen_time) {
-                        sim.submit(s).map_err(to_msg_err)?;
-                    }
-                    fleet.by_tag.insert(spec.tag, um);
-                }
-            }
-            Ok(sim.run_with_hook(&mut fleet))
-        }
+    }
+    execute(
+        spec,
+        &arts.topo,
+        arts.updown_routing(),
+        cfg,
+        mode,
+        fleet,
+        |sim, _| submit_all(sim, sends),
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn split_seed_streams_differ() {
+        let a = split_seed(42, 0);
+        let b = split_seed(42, 1);
+        let c = split_seed(43, 0);
+        assert_ne!(a, b);
+        assert_ne!(a, c);
+        assert_eq!(split_seed(42, 0), a, "deterministic");
     }
 }

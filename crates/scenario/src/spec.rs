@@ -453,6 +453,9 @@ pub enum SpecError {
         /// The snapshot layer's description.
         detail: String,
     },
+    /// Prebuilt artifacts were built for a different topology+faults
+    /// prefix or replication than the run asked of them.
+    ArtifactMismatch,
 }
 
 impl fmt::Display for SpecError {
@@ -525,6 +528,10 @@ impl fmt::Display for SpecError {
             }
             SpecError::Message { detail } => write!(f, "generated message rejected: {detail}"),
             SpecError::Snapshot { detail } => write!(f, "snapshot rejected: {detail}"),
+            SpecError::ArtifactMismatch => write!(
+                f,
+                "artifacts were built for a different topology+faults prefix or replication"
+            ),
         }
     }
 }
@@ -570,6 +577,7 @@ impl SpecError {
             SpecError::NoSurvivingComponent => "NoSurvivingComponent",
             SpecError::Message { .. } => "Message",
             SpecError::Snapshot { .. } => "Snapshot",
+            SpecError::ArtifactMismatch => "ArtifactMismatch",
         }
     }
 }
@@ -619,23 +627,7 @@ impl ScenarioSpec {
         if self.name.is_empty() {
             return Err(SpecError::EmptyName);
         }
-        let t = &self.topology;
-        if t.switches < 2 {
-            return Err(SpecError::TooFewSwitches {
-                switches: t.switches,
-            });
-        }
-        if let Some(side) = t.side {
-            if side * side < t.switches {
-                return Err(SpecError::LatticeTooSmall {
-                    switches: t.switches,
-                    side,
-                });
-            }
-        }
-        if t.ports < 5 {
-            return Err(SpecError::BadPorts { ports: t.ports });
-        }
+        self.topology.validate()?;
         if self.replications == 0 {
             return Err(SpecError::ZeroReplications);
         }
@@ -653,7 +645,15 @@ impl ScenarioSpec {
             return Err(SpecError::ZeroCheckpointCadence);
         }
         self.validate_traffic()?;
-        self.validate_faults()?;
+        self.faults.validate()?;
+        if let (FaultsSpec::Storm { window_end_us, .. }, Some(h)) = (self.faults, self.horizon_us) {
+            if window_end_us > h {
+                return Err(SpecError::FaultsPastHorizon {
+                    at_us: window_end_us,
+                    horizon_us: h,
+                });
+            }
+        }
         self.validate_combinations()
     }
 
@@ -701,50 +701,6 @@ impl ScenarioSpec {
                 .closed_loop_config()
                 .expect("variant checked")
                 .validate(procs)?),
-        }
-    }
-
-    fn validate_faults(&self) -> Result<(), SpecError> {
-        let check_model = |m: &FaultModelSpec| match *m {
-            FaultModelSpec::IidLinks { rate } | FaultModelSpec::IidSwitches { rate } => {
-                if (0.0..=1.0).contains(&rate) {
-                    Ok(())
-                } else {
-                    Err(SpecError::BadFaultRate { rate })
-                }
-            }
-            FaultModelSpec::Region { .. } => Ok(()),
-        };
-        match self.faults {
-            FaultsSpec::None => Ok(()),
-            FaultsSpec::Static { ref model, .. } => check_model(model),
-            FaultsSpec::Storm {
-                ref model,
-                window_start_us,
-                window_end_us,
-                bursts,
-                ..
-            } => {
-                check_model(model)?;
-                if window_end_us <= window_start_us {
-                    return Err(SpecError::EmptyStormWindow {
-                        start_us: window_start_us,
-                        end_us: window_end_us,
-                    });
-                }
-                if bursts == 0 {
-                    return Err(SpecError::ZeroBursts);
-                }
-                if let Some(h) = self.horizon_us {
-                    if window_end_us > h {
-                        return Err(SpecError::FaultsPastHorizon {
-                            at_us: window_end_us,
-                            horizon_us: h,
-                        });
-                    }
-                }
-                Ok(())
-            }
         }
     }
 
@@ -919,6 +875,64 @@ impl ScenarioSpec {
             }),
             _ => None,
         }
+    }
+}
+
+impl TopologySpec {
+    /// The generator's structural rules (shared by
+    /// [`ScenarioSpec::validate`] and [`crate::ArtifactPrefix::validate`]).
+    pub(crate) fn validate(&self) -> Result<(), SpecError> {
+        if self.switches < 2 {
+            return Err(SpecError::TooFewSwitches {
+                switches: self.switches,
+            });
+        }
+        if let Some(side) = self.side {
+            if side * side < self.switches {
+                return Err(SpecError::LatticeTooSmall {
+                    switches: self.switches,
+                    side,
+                });
+            }
+        }
+        if self.ports < 5 {
+            return Err(SpecError::BadPorts { ports: self.ports });
+        }
+        Ok(())
+    }
+}
+
+impl FaultsSpec {
+    /// Fault-model probabilities and storm-window shape (the horizon
+    /// check needs the whole spec and stays in [`ScenarioSpec::validate`]).
+    pub(crate) fn validate(&self) -> Result<(), SpecError> {
+        let model = match *self {
+            FaultsSpec::None => return Ok(()),
+            FaultsSpec::Static { model, .. } | FaultsSpec::Storm { model, .. } => model,
+        };
+        if let FaultModelSpec::IidLinks { rate } | FaultModelSpec::IidSwitches { rate } = model {
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(SpecError::BadFaultRate { rate });
+            }
+        }
+        if let FaultsSpec::Storm {
+            window_start_us,
+            window_end_us,
+            bursts,
+            ..
+        } = *self
+        {
+            if window_end_us <= window_start_us {
+                return Err(SpecError::EmptyStormWindow {
+                    start_us: window_start_us,
+                    end_us: window_end_us,
+                });
+            }
+            if bursts == 0 {
+                return Err(SpecError::ZeroBursts);
+            }
+        }
+        Ok(())
     }
 }
 

@@ -6,8 +6,8 @@
 //! proof that every name is reachable.
 
 use spam_scenario::{
-    run_once, ArrivalSpec, FaultModelSpec, FaultsSpec, PatternSpec, PolicySpec, RoutingSpec,
-    ScenarioSpec, SpecError, TrafficSpec,
+    run_once, run_with_artifacts, ArrivalSpec, ArtifactPrefix, FaultModelSpec, FaultsSpec,
+    PatternSpec, PolicySpec, RoutingSpec, ScenarioSpec, SpecError, TrafficSpec,
 };
 use traffic::{HotspotConfig, TrafficError};
 
@@ -274,6 +274,21 @@ fn run_level_errors_are_typed_not_panics() {
     match run_once(&s, 0, None) {
         Err(e) => assert_eq!(e.variant_name(), "NoSurvivingComponent"),
         Ok(_) => panic!("fabric-destroying storm produced an outcome"),
+    }
+
+    // ArtifactMismatch: prebuilt artifacts for another replication (or
+    // another topology) are refused, not asserted on.
+    let s = base();
+    let arts = ArtifactPrefix::of(&s, 1).build().expect("base builds");
+    match run_with_artifacts(&s, 0, None, &arts) {
+        Err(e) => assert_eq!(e.variant_name(), "ArtifactMismatch"),
+        Ok(_) => panic!("mismatched artifacts produced an outcome"),
+    }
+    let mut other = base();
+    other.topology.seed += 1;
+    match run_with_artifacts(&other, 1, None, &arts) {
+        Err(e) => assert_eq!(e.variant_name(), "ArtifactMismatch"),
+        Ok(_) => panic!("mismatched artifacts produced an outcome"),
     }
 }
 

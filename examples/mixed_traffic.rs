@@ -5,7 +5,8 @@
 //! ```text
 //! cargo run --example mixed_traffic --release
 //! ```
-//! (The full-scale figure is `cargo run -p spam-bench --bin fig3 --release`.)
+//! (The full-scale figure is
+//! `cargo run -p spam-bench --bin sweep --release -- sweeps/fig3.sweep.json`.)
 
 use spam_net::prelude::*;
 
