@@ -15,9 +15,8 @@
 //! The remaining modules are instruments the scenario model does not
 //! express yet (root-selection and partition ablations, the live
 //! reconfiguration sweep, engine throughput, congestion and latency
-//! anatomy, snapshot cost, the scenario corpus, fuzzing, and the
-//! scenario service); each exposes a pure `run_*`/`measure` function
-//! consumed by its binary.
+//! anatomy, snapshot cost, the scenario corpus, and fuzzing); each
+//! exposes a pure `run_*`/`measure` function consumed by its binary.
 
 pub mod ablations;
 pub mod congestion;
@@ -31,7 +30,6 @@ pub mod latency_anatomy;
 pub mod reconfig_sweep;
 pub mod report;
 pub mod scenario_corpus;
-pub mod serve_bench;
 pub mod snapshot_bench;
 pub mod sweep;
 pub mod throughput;

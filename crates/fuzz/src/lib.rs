@@ -26,13 +26,11 @@
 //! the same mutants, promotions, and regressions byte for byte, which is
 //! what lets CI run `fuzz_specs --quick` and diff the coverage report.
 
-pub mod digest;
 pub mod fuzzer;
 pub mod minimize;
 pub mod novelty;
 pub mod oracle;
 
-pub use digest::{outcome_digest, Fnv};
 pub use fuzzer::{fuzz, FuzzConfig, FuzzReport, FuzzStats, Promoted, Regression};
 pub use minimize::minimize_violation;
 pub use novelty::NoveltyTracker;

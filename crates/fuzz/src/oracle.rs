@@ -23,8 +23,9 @@
 //! one that failed, which is also the name the minimizer preserves while
 //! shrinking.
 
-use crate::digest::outcome_digest;
-use spam_scenario::{resume_once, run_once, run_once_checkpointed, ScenarioSpec, SpecError};
+use spam_scenario::{
+    outcome_digest, resume_once, run_once, run_once_checkpointed, ScenarioSpec, SpecError,
+};
 use wormsim::{CoverageSet, QueueKind};
 
 /// Names of the oracles, in the order they are checked.

@@ -15,18 +15,16 @@
 //! on. Two specs with equal prefixes — however much their traffic,
 //! routing policy, engine knobs, or seeds differ — can share one
 //! [`ScenarioArtifacts`], which is what the `spam-serve` artifact cache
-//! does. [`ArtifactPrefix::fingerprint`] is the cache key: an FNV-1a 64
-//! digest (the same accumulator style `spam-fuzz` uses for
-//! `outcome_digest`) streamed directly over the prefix fields, so
-//! computing it on the request hot path allocates nothing.
+//! does. [`spec_fingerprint`] is the cache key: an FNV-1a 64
+//! digest ([`wormsim::Fnv1a`], the hasher behind `outcome_digest` too)
+//! streamed directly over the prefix fields, so computing it on the
+//! request hot path allocates nothing.
 //!
 //! The differential guarantee — a cache hit changes no outcome byte — is
 //! pinned by `tests/serve_cache_differential.rs` at the workspace root:
 //! all committed golden scenarios run cold and warm and must produce
 //! identical `outcome_digest`s.
 
-use crate::codec::{decode_faults, decode_topology, encode_faults, encode_topology};
-use crate::json::{self, Json, Num};
 use crate::run::rep_seed;
 use crate::spec::{
     FaultModelSpec, FaultsSpec, ScenarioSpec, SpecError, StrategySpec, TopologySpec,
@@ -40,40 +38,7 @@ use spam_faults::DegradedNetwork;
 use spam_reconfig::{EpochRouting, FaultSchedule, ReconfigScenario};
 use std::sync::{Arc, OnceLock};
 use updown::{RootSelection, UpDownLabeling};
-
-/// Streaming FNV-1a 64 over field words — no intermediate buffer, so
-/// fingerprinting a spec on the request path allocates nothing.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    #[inline]
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    #[inline]
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    #[inline]
-    fn f64(&mut self, v: f64) {
-        // Bit-exact: the fingerprint distinguishes every distinct rate.
-        self.u64(v.to_bits());
-    }
-}
-
-/// Bump when the fingerprinted field set or its encoding changes, so a
-/// persisted cache manifest from an older layout can never alias a new
-/// key.
-const FINGERPRINT_VERSION: u8 = 1;
+use wormsim::Fnv1a;
 
 /// The slice of a [`ScenarioSpec`] the artifact build depends on: the
 /// topology and fault sections plus the replication index (replications
@@ -108,56 +73,10 @@ impl ArtifactPrefix {
         self.rep == rep && self.topology == spec.topology && self.faults == spec.faults
     }
 
-    /// The cache key: FNV-1a 64 streamed over a versioned, tagged field
-    /// encoding. Equal prefixes always fingerprint equal; distinct
-    /// prefixes collide only with 64-bit-hash probability (and the cache
-    /// re-checks [`Self::matches`] on every hit, so a collision surfaces
-    /// as a typed error, never as wrong artifacts).
-    pub fn fingerprint(&self) -> u64 {
-        fingerprint_of(&self.topology, &self.faults, self.rep)
-    }
-
-    /// One-line canonical JSON of the prefix — the persistence form used
-    /// by the cache manifest (artifacts themselves are deterministic
-    /// rebuilds, so the manifest only needs the recipe).
-    pub fn canonical_json(&self) -> String {
-        Json::Obj(vec![
-            ("topology".to_string(), encode_topology(&self.topology)),
-            ("faults".to_string(), encode_faults(&self.faults)),
-            ("rep".to_string(), Json::Num(Num::U(self.rep as u64))),
-        ])
-        .to_string_compact()
-    }
-
-    /// Decodes a [`Self::canonical_json`] document. Strict like the
-    /// scenario codec: wrong shapes surface as typed [`SpecError`]s.
-    pub fn from_canonical_json(text: &str) -> Result<Self, SpecError> {
-        let doc = json::parse(text).map_err(SpecError::Json)?;
-        let get = |key: &str| {
-            doc.get(key).ok_or_else(|| SpecError::MissingField {
-                field: format!("prefix.{key}"),
-            })
-        };
-        let rep = match get("rep")?.as_num().and_then(|n| n.as_u64()) {
-            Some(v) if v <= u32::MAX as u64 => v as u32,
-            _ => {
-                return Err(SpecError::WrongType {
-                    field: "prefix.rep".to_string(),
-                    expected: "u32",
-                })
-            }
-        };
-        Ok(ArtifactPrefix {
-            topology: decode_topology(get("topology")?)?,
-            faults: decode_faults(get("faults")?)?,
-            rep,
-        })
-    }
-
     /// Validates the prefix fields in isolation (the subset of
     /// [`ScenarioSpec::validate`] that concerns topology and faults).
-    /// Prefixes extracted from validated specs always pass; this guards
-    /// prefixes decoded from a persisted cache manifest.
+    /// [`Self::build`] checks this first, so a prefix assembled by hand
+    /// fails typed instead of generating a malformed lattice.
     pub fn validate(&self) -> Result<(), SpecError> {
         self.topology.validate()?;
         self.faults.validate()
@@ -259,43 +178,44 @@ impl ArtifactPrefix {
     }
 }
 
-/// Streaming fingerprint over a spec's prefix fields without extracting
-/// (= cloning) an [`ArtifactPrefix`] — the allocation-free hit path.
+/// The cache key of `spec`'s [`ArtifactPrefix`] at replication `rep`:
+/// FNV-1a 64 streamed over a tagged encoding of the prefix fields,
+/// without extracting (= cloning) the prefix — the allocation-free hit
+/// path. Equal prefixes always fingerprint equal; distinct prefixes
+/// collide only with 64-bit-hash probability, and the cache re-checks
+/// [`ArtifactPrefix::matches`] on every hit, so a collision surfaces as
+/// a typed error, never as wrong artifacts.
 pub fn spec_fingerprint(spec: &ScenarioSpec, rep: u32) -> u64 {
-    fingerprint_of(&spec.topology, &spec.faults, rep)
-}
-
-fn fingerprint_of(t: &TopologySpec, f: &FaultsSpec, rep: u32) -> u64 {
-    let mut h = Fnv::new();
-    h.byte(FINGERPRINT_VERSION);
+    let (t, f) = (&spec.topology, &spec.faults);
+    let mut h = Fnv1a::new();
     // Topology, field-tagged in declaration order.
-    h.u64(t.switches as u64);
-    h.u64(t.seed);
+    h.word(t.switches as u64);
+    h.word(t.seed);
     match t.side {
         None => h.byte(0),
         Some(s) => {
             h.byte(1);
-            h.u64(s as u64);
+            h.word(s as u64);
         }
     }
     h.byte(match t.strategy {
         StrategySpec::ConnectedGrowth => 0,
         StrategySpec::UniformRetry => 1,
     });
-    h.u64(t.ports as u64);
+    h.word(t.ports as u64);
     // Faults: variant tag, then fields.
-    let model = |h: &mut Fnv, m: &FaultModelSpec| match *m {
+    let model = |h: &mut Fnv1a, m: &FaultModelSpec| match *m {
         FaultModelSpec::IidLinks { rate } => {
             h.byte(0);
-            h.f64(rate);
+            h.word(rate.to_bits());
         }
         FaultModelSpec::IidSwitches { rate } => {
             h.byte(1);
-            h.f64(rate);
+            h.word(rate.to_bits());
         }
         FaultModelSpec::Region { radius } => {
             h.byte(2);
-            h.u64(radius as u64);
+            h.word(radius as u64);
         }
     };
     match *f {
@@ -303,7 +223,7 @@ fn fingerprint_of(t: &TopologySpec, f: &FaultsSpec, rep: u32) -> u64 {
         FaultsSpec::Static { model: ref m, seed } => {
             h.byte(1);
             model(&mut h, m);
-            h.u64(seed);
+            h.word(seed);
         }
         FaultsSpec::Storm {
             model: ref m,
@@ -314,14 +234,14 @@ fn fingerprint_of(t: &TopologySpec, f: &FaultsSpec, rep: u32) -> u64 {
         } => {
             h.byte(2);
             model(&mut h, m);
-            h.u64(seed);
-            h.u64(window_start_us);
-            h.u64(window_end_us);
-            h.u64(bursts as u64);
+            h.word(seed);
+            h.word(window_start_us);
+            h.word(window_end_us);
+            h.word(bursts as u64);
         }
     }
-    h.u64(rep as u64);
-    h.0
+    h.word(rep as u64);
+    h.finish()
 }
 
 /// A storm prefix's extra artifacts: the fault schedule and the fully
@@ -442,22 +362,6 @@ mod tests {
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec::example("artifact-tests")
-    }
-
-    #[test]
-    fn prefix_round_trips_through_canonical_json() {
-        let mut s = spec();
-        s.faults = FaultsSpec::Storm {
-            model: FaultModelSpec::IidLinks { rate: 0.25 },
-            seed: 9,
-            window_start_us: 5,
-            window_end_us: 50,
-            bursts: 3,
-        };
-        let p = ArtifactPrefix::of(&s, 2);
-        let round = ArtifactPrefix::from_canonical_json(&p.canonical_json()).unwrap();
-        assert_eq!(p, round);
-        assert_eq!(p.fingerprint(), round.fingerprint());
     }
 
     #[test]

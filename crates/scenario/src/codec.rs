@@ -252,7 +252,7 @@ impl ScenarioSpec {
     }
 }
 
-pub(crate) fn decode_topology(v: &Json) -> Result<TopologySpec, SpecError> {
+fn decode_topology(v: &Json) -> Result<TopologySpec, SpecError> {
     let p = "scenario.topology";
     let f = fields(v, p)?;
     check_unknown(f, p, &["switches", "seed", "side", "strategy", "ports"])?;
@@ -286,7 +286,7 @@ pub(crate) fn decode_topology(v: &Json) -> Result<TopologySpec, SpecError> {
     })
 }
 
-pub(crate) fn encode_topology(t: &TopologySpec) -> Json {
+fn encode_topology(t: &TopologySpec) -> Json {
     let mut out = vec![("switches", uz(t.switches)), ("seed", u(t.seed))];
     if let Some(side) = t.side {
         out.push(("side", uz(side)));
@@ -739,7 +739,7 @@ fn encode_model(m: &FaultModelSpec) -> Json {
     }
 }
 
-pub(crate) fn decode_faults(v: &Json) -> Result<FaultsSpec, SpecError> {
+fn decode_faults(v: &Json) -> Result<FaultsSpec, SpecError> {
     let p = "scenario.faults";
     let f = fields(v, p)?;
     match kind_of(f, p)? {
@@ -794,7 +794,7 @@ pub(crate) fn decode_faults(v: &Json) -> Result<FaultsSpec, SpecError> {
     }
 }
 
-pub(crate) fn encode_faults(fs: &FaultsSpec) -> Json {
+fn encode_faults(fs: &FaultsSpec) -> Json {
     match fs {
         FaultsSpec::None => kind("none", vec![]),
         FaultsSpec::Static { model, seed } => kind(

@@ -12,9 +12,9 @@
 
 use crate::run::{run_once_mode, RunMode};
 use crate::spec::{ScenarioSpec, SpecError};
-use desim::{Duration, QueueKind};
+use desim::{Duration, QueueKind, Time};
 use std::sync::{Arc, Mutex};
-use wormsim::{fnv1a, CheckpointSink, SimOutcome, SnapWriter};
+use wormsim::{CheckpointSink, FailureKind, Fnv1a, SimOutcome};
 
 /// One checkpointed replication: the finished outcome plus every
 /// snapshot taken along the way, `(sim_time_ns, sealed bytes)` in
@@ -74,20 +74,23 @@ pub fn resume_once(
     run_once_mode(spec, rep, queue, RunMode::Resume { bytes }).map(|(out, _, _)| out)
 }
 
-/// A canonical digest over everything a run *means*: final clock,
-/// termination verdict, engine counters, per-message completion times
-/// and failures, per-channel crossing counts, and the trace length.
-/// Two runs with equal digests delivered the same messages at the same
-/// instants over the same channels — the equality the golden corpus and
-/// the divergence bisector both pin.
+/// The canonical digest of a finished run: FNV-1a over every field an
+/// experiment can observe — all engine counters including the full
+/// coverage record, the final clock, the termination verdict
+/// (quiescent / deadlock / error flags), per message its tag,
+/// completion time, per-destination times, failure kind and failure
+/// time, per-channel crossing counts, and the fault epoch boundaries.
+/// Observers (the trace and telemetry) are left out, so enabling them
+/// never moves a digest. Two runs with equal digests delivered the same
+/// messages at the same instants over the same channels — the equality
+/// the golden corpus, the cache differential, the fuzz oracles and the
+/// divergence bisector all pin. Streams straight into the hasher, so it
+/// allocates nothing.
 pub fn outcome_digest(out: &SimOutcome) -> u64 {
-    let mut w = SnapWriter::with_capacity(256 + 32 * out.messages.len());
-    w.put_u64(out.end_time.as_ns());
-    w.put_bool(out.quiescent);
-    w.put_bool(out.deadlock.is_some());
-    w.put_bool(out.error.is_some());
+    let mut h = Fnv1a::new();
     let c = &out.counters;
-    for v in [
+    let cov = &c.coverage;
+    for w in [
         c.events,
         c.wire_transfers,
         c.bubbles_created,
@@ -98,30 +101,106 @@ pub fn outcome_digest(out: &SimOutcome) -> u64 {
         c.messages_torn_down,
         c.messages_unreachable,
         c.links_killed,
+        cov.bits,
+        u64::from(cov.max_branch_fanout),
+        u64::from(cov.max_ocrq_depth),
+        u64::from(cov.epochs),
+        u64::from(cov.wheel_deferrals),
+        u64::from(cov.max_reattached_nodes),
+        out.end_time.as_ns(),
+        u64::from(out.quiescent),
+        u64::from(out.deadlock.is_some()),
+        u64::from(out.error.is_some()),
     ] {
-        w.put_u64(v);
+        h.word(w);
     }
-    w.put_len(out.messages.len());
+    // Absent times hash as u64::MAX, an instant no run reaches.
+    let time = |t: Option<Time>| t.map_or(u64::MAX, |t| t.as_ns());
+    h.word(out.messages.len() as u64);
     for m in &out.messages {
-        w.put_u64(m.spec.tag);
-        w.put_opt_u64(m.completed_at.map(|t| t.as_ns()));
-        w.put_len(m.dest_done_at.len());
-        for d in &m.dest_done_at {
-            w.put_opt_u64(d.map(|t| t.as_ns()));
+        h.word(m.spec.tag);
+        h.word(time(m.completed_at));
+        h.word(m.dest_done_at.len() as u64);
+        for &d in &m.dest_done_at {
+            h.word(time(d));
         }
-        w.put_bool(m.failure.is_some());
-        if let Some(f) = &m.failure {
-            w.put_u64(f.at.as_ns());
+        match m.failure {
+            None => h.word(0),
+            Some(f) => {
+                h.word(match f.kind {
+                    FailureKind::TornDown => 1,
+                    FailureKind::Unreachable => 2,
+                });
+                h.word(f.at.as_ns());
+            }
         }
     }
-    w.put_len(out.channel_crossings.len());
-    for x in &out.channel_crossings {
-        w.put_u64(*x);
+    h.word(out.channel_crossings.len() as u64);
+    for &x in &out.channel_crossings {
+        h.word(x);
     }
-    w.put_len(out.fault_times.len());
+    h.word(out.fault_times.len() as u64);
     for t in &out.fault_times {
-        w.put_u64(t.as_ns());
+        h.word(t.as_ns());
     }
-    w.put_len(out.trace.events.len());
-    fnv1a(w.as_bytes())
+    h.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::run::run_once;
+    use crate::spec::TrafficSpec;
+    use netgraph::ChannelId;
+    use wormsim::{MessageFailure, MsgId, SimError};
+
+    fn outcome() -> SimOutcome {
+        let mut spec = ScenarioSpec::example("digest-sensitivity");
+        spec.topology.switches = 16;
+        spec.traffic = TrafficSpec::SingleMulticast { dests: 4, len: 64 };
+        run_once(&spec, 0, None).unwrap()
+    }
+
+    #[test]
+    fn digest_sees_failure_kind_coverage_and_tags() {
+        let base = outcome();
+        let want = outcome_digest(&base);
+        assert_eq!(
+            want,
+            outcome_digest(&base.clone()),
+            "digest is a pure function"
+        );
+
+        let failed = |kind| {
+            let mut o = base.clone();
+            o.messages[0].failure = Some(MessageFailure {
+                at: Time::from_ns(5_000),
+                kind,
+                error: SimError::TornDown {
+                    msg: MsgId(0),
+                    channel: ChannelId(0),
+                },
+            });
+            outcome_digest(&o)
+        };
+        let torn = failed(FailureKind::TornDown);
+        assert_ne!(torn, want, "a failure verdict");
+        assert_ne!(
+            torn,
+            failed(FailureKind::Unreachable),
+            "a TornDown/Unreachable swap"
+        );
+
+        let mut o = base.clone();
+        o.counters.coverage.bits ^= 1;
+        assert_ne!(outcome_digest(&o), want, "one coverage bit");
+
+        let mut o = base.clone();
+        o.counters.coverage.max_ocrq_depth += 1;
+        assert_ne!(outcome_digest(&o), want, "a coverage watermark");
+
+        let mut o = base.clone();
+        o.messages[0].spec.tag ^= 1;
+        assert_ne!(outcome_digest(&o), want, "a message tag");
+    }
 }

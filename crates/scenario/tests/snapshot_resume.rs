@@ -175,4 +175,19 @@ fn bisector_localizes_a_real_divergence() {
     );
     let ev = report.first_event.expect("both runs traced");
     assert!(ev.reference.is_some() || ev.candidate.is_some());
+
+    // The bisector resumes traced runs, and the outcome digest leaves the
+    // trace out, so pin trace restoration directly: resuming the traced
+    // reference from any checkpoint reproduces its whole event trace.
+    let mut traced = spec.clone();
+    traced.engine.trace = true;
+    let golden = run_once_checkpointed(&traced, 0, None, 5_000).expect("traced run");
+    assert!(!golden.outcome.trace.events.is_empty());
+    for (at_ns, bytes) in &golden.checkpoints {
+        let resumed = resume_once(&traced, 0, None, bytes).expect("traced resume");
+        assert!(
+            resumed.trace.events == golden.outcome.trace.events,
+            "trace diverged after resuming at {at_ns}ns"
+        );
+    }
 }

@@ -2,21 +2,16 @@
 //!
 //! ```text
 //! spam-serve [--socket PATH] [--queue-capacity N] [--cache-entries N]
-//!            [--cache-bytes N] [--persist PATH]
+//!            [--cache-bytes N]
 //! ```
 //!
 //! Without `--socket`, serves JSONL on stdin/stdout and treats stdin
-//! EOF as a shutdown request (drain the queue, persist the manifest,
-//! exit 0) — the mode the CI smoke job and `serve_bench` use. With
+//! EOF as a shutdown request (drain the queue, exit 0). With
 //! `--socket PATH`, listens on a unix socket and serves each accepted
-//! connection until a client sends `shutdown`.
-//!
-//! With `--persist PATH`, the cache manifest is written there on
-//! shutdown and loaded on start; a corrupt or stale manifest is
-//! reported on stderr and the daemon starts cold (a poisoned cache
-//! must never block service).
+//! connection until a client sends `shutdown`. The artifact cache
+//! starts empty and lives as long as the process.
 
-use spam_serve::{ArtifactCache, Daemon, ServeConfig, ServeCore};
+use spam_serve::{Daemon, ServeConfig, ServeCore};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -35,7 +30,6 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
             "--socket" => args.socket = Some(PathBuf::from(value("--socket")?)),
-            "--persist" => args.cfg.persist_path = Some(PathBuf::from(value("--persist")?)),
             "--queue-capacity" => {
                 args.cfg.queue_capacity = value("--queue-capacity")?
                     .parse()
@@ -55,34 +49,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-/// Warm-start policy: a loadable manifest seeds the cache; a missing
-/// one is a normal cold start; a corrupt one is reported and ignored.
-fn open_cache(cfg: &ServeConfig) -> ArtifactCache {
-    let Some(path) = &cfg.persist_path else {
-        return ArtifactCache::new(cfg.cache);
-    };
-    if !path.exists() {
-        return ArtifactCache::new(cfg.cache);
-    }
-    match ArtifactCache::load_manifest(path, cfg.cache) {
-        Ok(cache) => {
-            eprintln!(
-                "spam-serve: warm start, {} cached artifact(s) from {}",
-                cache.stats().entries,
-                path.display()
-            );
-            cache
-        }
-        Err(e) => {
-            eprintln!(
-                "spam-serve: ignoring manifest {}: {e}; starting cold",
-                path.display()
-            );
-            ArtifactCache::new(cfg.cache)
-        }
-    }
 }
 
 fn serve_stdio(core: ServeCore) -> Result<(), String> {
@@ -131,8 +97,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let cache = open_cache(&args.cfg);
-    let core = ServeCore::with_cache(args.cfg.clone(), cache);
+    let core = ServeCore::new(args.cfg);
     let res = match &args.socket {
         Some(path) => serve_socket(core, path),
         None => serve_stdio(core),

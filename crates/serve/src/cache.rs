@@ -15,22 +15,15 @@
 //! `cache_zero_alloc` guard pins this at exactly zero.
 //!
 //! Eviction is LRU under two budgets — entry count and approximate
-//! resident bytes ([`ScenarioArtifacts::approx_bytes`]). The cache
-//! persists across restarts as a `SPAMSNAP` manifest of canonical prefix
-//! JSON (artifacts themselves are rebuilt deterministically on load, so
-//! the manifest stays small and version-tolerant).
+//! resident bytes ([`ScenarioArtifacts::approx_bytes`]). The cache lives
+//! only as long as the process: artifacts are deterministic rebuilds of
+//! their prefix, and every measured workload reuses them within one
+//! daemon lifetime.
 
 use crate::error::ServeError;
 use spam_scenario::{spec_fingerprint, ArtifactPrefix, ScenarioArtifacts, ScenarioSpec};
-use spam_snapshot::{SnapReader, SnapWriter};
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::Arc;
-
-/// Section tag for the manifest index (entry count).
-const TAG_CACHE_INDEX: u32 = 0x5643_0001;
-/// Section tag for one cached entry (fingerprint + canonical prefix).
-const TAG_CACHE_ENTRY: u32 = 0x5643_0002;
 
 /// Cache sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,76 +163,6 @@ impl ArtifactCache {
             bytes: self.bytes,
         }
     }
-
-    /// Serializes the manifest: one section per resident entry, oldest
-    /// first (so a reload replays insertions in LRU order), each holding
-    /// the fingerprint plus the canonical prefix JSON it must match.
-    pub fn manifest_bytes(&self) -> Vec<u8> {
-        let mut order: Vec<(&u64, &Entry)> = self.map.iter().collect();
-        order.sort_by_key(|(_, e)| e.last_used);
-        let mut w = SnapWriter::new();
-        w.begin();
-        let patch = w.begin_section(TAG_CACHE_INDEX);
-        w.put_len(order.len());
-        w.end_section(patch);
-        for (fp, e) in order {
-            let patch = w.begin_section(TAG_CACHE_ENTRY);
-            w.put_u64(*fp);
-            w.put_str(&e.arts.prefix.canonical_json());
-            w.end_section(patch);
-        }
-        w.seal().to_vec()
-    }
-
-    /// Writes the manifest to `path` ([`ServeError::Io`] on failure).
-    pub fn save_manifest(&self, path: &Path) -> Result<(), ServeError> {
-        std::fs::write(path, self.manifest_bytes())?;
-        Ok(())
-    }
-
-    /// Rebuilds a warm cache from manifest bytes. Every entry is
-    /// checksum-verified by the container, its stored fingerprint is
-    /// recomputed from the decoded prefix, and its artifacts are rebuilt
-    /// deterministically. Any mismatch is [`ServeError::CachePoisoned`] —
-    /// the caller decides whether to start cold instead.
-    pub fn from_manifest_bytes(bytes: &[u8], cfg: CacheConfig) -> Result<Self, ServeError> {
-        let mut r = SnapReader::open(bytes)?;
-        r.expect_section(TAG_CACHE_INDEX)?;
-        let count = r.get_len()?;
-        let mut cache = ArtifactCache::new(cfg);
-        for _ in 0..count {
-            r.expect_section(TAG_CACHE_ENTRY)?;
-            let fp = r.get_u64()?;
-            let text = r.get_str()?;
-            let prefix = ArtifactPrefix::from_canonical_json(text).map_err(|e| {
-                ServeError::CachePoisoned {
-                    detail: format!("manifest prefix does not decode: {e}"),
-                }
-            })?;
-            if prefix.fingerprint() != fp {
-                return Err(ServeError::CachePoisoned {
-                    detail: format!(
-                        "manifest fingerprint {fp:#018x} does not match its own prefix"
-                    ),
-                });
-            }
-            let arts = prefix.build().map_err(|e| ServeError::CachePoisoned {
-                detail: format!("manifest prefix does not build: {e}"),
-            })?;
-            cache.tick += 1;
-            cache.insert(fp, Arc::new(arts));
-        }
-        r.finish()?;
-        Ok(cache)
-    }
-
-    /// Loads a warm cache from a manifest file. A missing or unreadable
-    /// file is [`ServeError::Io`]; a corrupt one is
-    /// [`ServeError::CachePoisoned`].
-    pub fn load_manifest(path: &Path, cfg: CacheConfig) -> Result<Self, ServeError> {
-        let bytes = std::fs::read(path)?;
-        Self::from_manifest_bytes(&bytes, cfg)
-    }
 }
 
 #[cfg(test)]
@@ -307,32 +230,18 @@ mod tests {
     }
 
     #[test]
-    fn manifest_round_trips_a_warm_cache() {
+    fn fingerprint_collision_is_poisoned_not_wrong_artifacts() {
+        // Plant spec A's artifacts under spec B's fingerprint — what a
+        // 64-bit collision would look like — and look B up.
+        let (a, b) = (small_spec(16, 1), small_spec(16, 2));
         let mut cache = ArtifactCache::new(CacheConfig::default());
-        let specs: Vec<_> = (0..3).map(|i| small_spec(16 + i as usize, 7)).collect();
-        for s in &specs {
-            cache.lookup(s, 0).unwrap();
-        }
-        let bytes = cache.manifest_bytes();
-        let mut warm = ArtifactCache::from_manifest_bytes(&bytes, CacheConfig::default()).unwrap();
-        assert_eq!(warm.stats().entries, 3);
-        // Every original spec now hits without a rebuild.
-        for s in &specs {
-            assert!(warm.lookup(s, 0).unwrap().1);
-        }
-        assert_eq!(warm.stats().misses, 0);
-    }
-
-    #[test]
-    fn corrupt_manifest_is_typed_not_a_panic() {
-        let mut cache = ArtifactCache::new(CacheConfig::default());
-        cache.lookup(&small_spec(16, 1), 0).unwrap();
-        let mut bytes = cache.manifest_bytes();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        let err = ArtifactCache::from_manifest_bytes(&bytes, CacheConfig::default())
-            .map(|_| ())
-            .unwrap_err();
+        let planted = Arc::new(ArtifactPrefix::of(&a, 0).build().unwrap());
+        cache.insert(spec_fingerprint(&b, 0), planted);
+        let err = cache.lookup(&b, 0).map(|_| ()).unwrap_err();
         assert_eq!(err.variant_name(), "CachePoisoned");
+        assert!(err.to_string().contains("collision"), "{err}");
+        // The poisoned probe counts neither as a hit nor as a miss.
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 0, 1));
     }
 }

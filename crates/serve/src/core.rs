@@ -23,7 +23,6 @@ use crate::error::ServeError;
 use crate::protocol::{self, Request};
 use spam_scenario::{outcome_digest, run_with_artifacts, ScenarioSpec};
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
 
 /// Daemon-level knobs.
 #[derive(Debug, Clone)]
@@ -36,9 +35,6 @@ pub struct ServeConfig {
     /// Retained-backlog byte budget per client (unacked result lines
     /// kept for replay).
     pub backlog_budget: usize,
-    /// Where to persist the cache manifest on shutdown (and load it
-    /// from on start). `None` disables persistence.
-    pub persist_path: Option<PathBuf>,
 }
 
 impl Default for ServeConfig {
@@ -47,7 +43,6 @@ impl Default for ServeConfig {
             queue_capacity: 32,
             cache: CacheConfig::default(),
             backlog_budget: 4 << 20,
-            persist_path: None,
         }
     }
 }
@@ -144,17 +139,11 @@ pub struct ServeCore {
 }
 
 impl ServeCore {
-    /// A cold-cache core.
+    /// A core with an empty artifact cache.
     pub fn new(cfg: ServeConfig) -> Self {
-        let cache = ArtifactCache::new(cfg.cache);
-        Self::with_cache(cfg, cache)
-    }
-
-    /// A core around an existing (e.g. manifest-loaded) cache.
-    pub fn with_cache(cfg: ServeConfig, cache: ArtifactCache) -> Self {
         ServeCore {
+            cache: ArtifactCache::new(cfg.cache),
             cfg,
-            cache,
             clients: HashMap::new(),
             queue: VecDeque::new(),
             draining: false,
@@ -352,14 +341,6 @@ impl ServeCore {
         let line = line.replacen("\"cursor\":0", &format!("\"cursor\":{cursor}"), 1);
         log.push(line.clone(), self.cfg.backlog_budget);
         line
-    }
-
-    /// Persists the cache manifest if a persist path is configured.
-    pub fn persist(&self) -> Result<(), ServeError> {
-        if let Some(path) = &self.cfg.persist_path {
-            self.cache.save_manifest(path)?;
-        }
-        Ok(())
     }
 }
 

@@ -24,8 +24,8 @@ type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
 struct Shared {
     core: ServeCore,
     writers: HashMap<String, SharedWriter>,
-    /// Worker exit status once it drained and persisted.
-    finished: Option<Result<(), String>>,
+    /// Set once the worker has drained the queue after a shutdown.
+    finished: bool,
 }
 
 struct Inner {
@@ -40,13 +40,13 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Starts the worker thread around `core` (cold or manifest-warmed).
+    /// Starts the worker thread around `core`.
     pub fn start(core: ServeCore) -> Self {
         let inner = Arc::new(Inner {
             state: Mutex::new(Shared {
                 core,
                 writers: HashMap::new(),
-                finished: None,
+                finished: false,
             }),
             work: Condvar::new(),
         });
@@ -119,17 +119,18 @@ impl Daemon {
     }
 
     /// True once the worker has drained the queue after a shutdown
-    /// request and persisted the manifest (accept loops poll this).
+    /// request (accept loops poll this).
     pub fn is_finished(&self) -> bool {
         self.inner
             .state
             .lock()
-            .map(|st| st.finished.is_some())
+            .map(|st| st.finished)
             .unwrap_or(true)
     }
 
-    /// Waits for the worker to drain the queue and persist the cache
-    /// manifest. Returns the persist outcome.
+    /// Waits for the worker to drain the queue and exit.
+    /// [`ServeError::Io`] if the state lock was poisoned or the worker
+    /// stopped before draining.
     pub fn join(mut self) -> Result<(), ServeError> {
         if let Some(h) = self.worker.take() {
             let _ = h.join();
@@ -137,14 +138,12 @@ impl Daemon {
         let st = self.inner.state.lock().map_err(|_| ServeError::Io {
             detail: "daemon state poisoned".into(),
         })?;
-        match &st.finished {
-            Some(Ok(())) => Ok(()),
-            Some(Err(detail)) => Err(ServeError::Io {
-                detail: detail.clone(),
-            }),
-            None => Err(ServeError::Io {
+        if st.finished {
+            Ok(())
+        } else {
+            Err(ServeError::Io {
                 detail: "worker exited without finishing".into(),
-            }),
+            })
         }
     }
 }
@@ -165,8 +164,7 @@ fn worker_loop(inner: &Inner) {
     loop {
         while !st.core.has_work() {
             if st.core.draining() {
-                let res = st.core.persist().map_err(|e| e.to_string());
-                st.finished = Some(res);
+                st.finished = true;
                 inner.work.notify_all();
                 return;
             }

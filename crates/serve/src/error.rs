@@ -5,10 +5,10 @@
 //! artifact — maps to exactly one [`ServeError`] variant, serialized back
 //! to the client as a typed error line. Client input never panics the
 //! daemon; the exhaustive `serve_error_table` integration test pins one
-//! concrete trigger per variant.
+//! concrete trigger per variant, or names the test that does where the
+//! request path cannot reach it.
 
 use spam_scenario::SpecError;
-use spam_snapshot::SnapshotError;
 use std::fmt;
 
 /// Everything that can go wrong handling a scenario-service request.
@@ -51,14 +51,15 @@ pub enum ServeError {
         /// The cursor the next result will take.
         next: u64,
     },
-    /// A cache artifact or manifest failed an integrity check: container
-    /// checksum mismatch, a stored fingerprint that does not match its
-    /// own prefix, or a fingerprint collision on the hit path.
+    /// A resident cache entry's prefix differs from the request's under
+    /// an equal fingerprint — a 64-bit collision on the hit path. The
+    /// request fails typed instead of running on the wrong artifacts.
     CachePoisoned {
         /// What failed to verify.
         detail: String,
     },
-    /// An operating-system I/O failure (socket or manifest file).
+    /// The daemon's worker could not be joined cleanly: its state lock
+    /// was poisoned or it exited without draining.
     Io {
         /// The OS error text.
         detail: String,
@@ -124,22 +125,6 @@ impl From<SpecError> for ServeError {
     }
 }
 
-impl From<std::io::Error> for ServeError {
-    fn from(e: std::io::Error) -> Self {
-        ServeError::Io {
-            detail: e.to_string(),
-        }
-    }
-}
-
-impl From<SnapshotError> for ServeError {
-    fn from(e: SnapshotError) -> Self {
-        ServeError::CachePoisoned {
-            detail: e.to_string(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,7 +142,7 @@ mod tests {
                 next: 5,
             },
             ServeError::CachePoisoned {
-                detail: "bad checksum".into(),
+                detail: "fingerprint collision".into(),
             },
             ServeError::Io {
                 detail: "gone".into(),

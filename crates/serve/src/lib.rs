@@ -19,8 +19,10 @@
 //! The pieces:
 //!
 //! * [`ArtifactCache`] — fingerprint-keyed store with LRU + byte-budget
-//!   eviction, hit/miss/eviction counters surfaced in every response,
-//!   and a `SPAMSNAP` manifest for warm restarts.
+//!   eviction and hit/miss/eviction counters surfaced in every response.
+//!   It lives in memory for the daemon's lifetime; request latency and
+//!   per-layer cost are measured by the `perfbench` benchmark at the
+//!   repository root.
 //! * [`ServeCore`] — the single-threaded state machine: bounded work
 //!   queue with typed backpressure ([`ServeError::QueueFull`] is a
 //!   response, not a panic), per-client monotonic result cursors with

@@ -41,7 +41,8 @@ pub enum Request {
     },
     /// Report queue/cache/client occupancy.
     Stats,
-    /// Drain the queue, persist the cache manifest, and exit.
+    /// Stop accepting work, drain the queue onto the cursor stream, and
+    /// exit.
     Shutdown,
 }
 

@@ -142,12 +142,6 @@ fn fingerprint_equality_is_prefix_equality_under_mutation() {
                 diff += 1;
             }
         }
-        // Round-tripping the mutant through canonical JSON preserves
-        // its address exactly.
-        let p = ArtifactPrefix::of(&m.spec, 0);
-        let back = ArtifactPrefix::from_canonical_json(&p.canonical_json())
-            .expect("canonical JSON round-trips");
-        assert_eq!(back.fingerprint(), p.fingerprint(), "axis {}", m.axis);
     }
     // The mutation palette must have exercised both sides of the
     // equivalence, or the walk proves nothing.

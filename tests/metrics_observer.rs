@@ -1,12 +1,11 @@
 //! Telemetry is a pure observer: enabling `engine.metrics_every_ns` on
 //! any golden scenario must not change a single simulated outcome. The
 //! check runs every corpus scenario twice — metered and unmetered — and
-//! compares the behavioural digests (`spam_fuzz::digest::outcome_digest`
+//! compares the behavioural digests (`spam_scenario::outcome_digest`
 //! hashes every latency, failure, counter, and epoch statistic, and
 //! deliberately excludes the telemetry itself).
 
-use spam_net::fuzz::digest::outcome_digest;
-use spam_net::scenario::{run_once, SpecError};
+use spam_net::scenario::{outcome_digest, run_once, SpecError};
 use std::path::Path;
 
 #[test]

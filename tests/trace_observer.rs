@@ -1,12 +1,11 @@
 //! Tracing is a pure observer: enabling `engine.trace` on any golden
 //! scenario must not change a single simulated outcome. The check runs
 //! every corpus scenario twice — traced and untraced — and compares the
-//! behavioural digests (`spam_fuzz::digest::outcome_digest` hashes every
+//! behavioural digests (`spam_scenario::outcome_digest` hashes every
 //! latency, failure, counter, and epoch statistic, and deliberately
 //! excludes the trace itself).
 
-use spam_net::fuzz::digest::outcome_digest;
-use spam_net::scenario::{run_once, SpecError};
+use spam_net::scenario::{outcome_digest, run_once, SpecError};
 use std::path::Path;
 
 #[test]
